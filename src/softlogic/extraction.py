@@ -39,6 +39,10 @@ __all__ = [
     "describe_expression",
 ]
 
+# Largest (slots, rows, width) array one ablation chunk builds; bounds the
+# memory of first_gate_importance independently of the network's size.
+_ABLATION_CHUNK_ELEMENTS = 1 << 18
+
 
 @dataclass(frozen=True)
 class ExtractionConfig:
@@ -88,6 +92,7 @@ def snapped_network(net: LogicNetwork,
         norm_low=net.norm_low.copy(),
         norm_high=net.norm_high.copy(),
         feature_names=net.feature_names,
+        label_names=net.label_names,
     )
     return clone
 
@@ -186,6 +191,26 @@ def _derive(node) -> LogicExpr:
     return Gate(node.kind, node.alpha, _derive(node.left), _derive(node.right))
 
 
+def _same_expr(a: LogicExpr, b: LogicExpr) -> bool:
+    """Structural equality of two expressions, as dataclass ``==`` decides
+    it, with an explicit stack: traces of wide models nest too deeply for
+    the recursive comparison."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, Gate):
+            if x.kind != y.kind or x.alpha != y.alpha:
+                return False
+            stack += [(x.left, y.left), (x.right, y.right)]
+        elif isinstance(x, Not):
+            stack.append((x.child, y.child))
+        elif x != y:
+            return False
+    return True
+
+
 def _gate_eval_alpha(kind: OperatorKind, alpha: float) -> float:
     canonical = kind.canonical_alpha
     return canonical if canonical is not None else alpha
@@ -267,7 +292,7 @@ def faithfulness(net: LogicNetwork, expr: LogicExpr, features: np.ndarray,
     outputs, cache = net.forward(arr)
     leaves01 = (cache.gate_out[0] + 1.0) / 2.0
     annotated = _trace_annotated(net, config, output_index)
-    if _derive(annotated) == expr:
+    if _same_expr(_derive(annotated), expr):
         values = _eval_annotated(annotated, leaves01)
     else:
         values = evaluate_crisp(expr, leaves01)
@@ -283,21 +308,26 @@ def faithfulness(net: LogicNetwork, expr: LogicExpr, features: np.ndarray,
 def first_gate_importance(net: LogicNetwork, features: np.ndarray) -> np.ndarray:
     """Output shift caused by silencing each first-layer gate's routing.
 
-    Ablates one column of the first selector at a time and measures the
-    mean absolute change of the signed outputs.
+    The importance of slot s is the mean absolute change of the signed
+    outputs when column s of the first selector is zeroed.  One forward
+    pass gives the base outputs and its cache; zeroing column s only
+    subtracts ``gate[:, s] * W0[:, s]`` from the first part's selector
+    pre-activation, so that delta is applied for a chunk of slots at once
+    and the later parts run on the whole chunk in one batched pass.  The
+    network is never modified.
     """
-    arr = np.asarray(features, dtype=float)
-    base, _ = net.forward(arr)
-    selector = net.selectors[0]
-    importance = np.zeros(selector.shape[1])
-    for slot in range(selector.shape[1]):
-        saved = selector[:, slot].copy()
-        selector[:, slot] = 0.0
-        net.bump_version()
-        ablated, _ = net.forward(arr)
-        importance[slot] = float(np.mean(np.abs(ablated - base)))
-        selector[:, slot] = saved
-    net.bump_version()
+    base, cache = net.forward(features)
+    gate, w0 = cache.gate_out[0], net.selectors[0]
+    rows, slots = gate.shape
+    widest = max([w0.shape[0]] + [t.width_out for t in net.pairing_tables[1:]])
+    step = max(1, _ABLATION_CHUNK_ELEMENTS // max(1, rows * widest))
+    importance = np.empty(slots)
+    for start in range(0, slots, step):
+        cols = slice(start, start + step)
+        pre = cache.sel_pre[0][None] - gate[:, cols].T[:, :, None] * w0[:, cols].T[:, None, :]
+        _, x = net._activate(0, pre)
+        ablated = net._run_parts(x, 1)
+        importance[cols] = np.mean(np.abs(ablated - base), axis=(1, 2))
     return importance
 
 

@@ -135,9 +135,9 @@ class PairingTable:
         return cls(width_in, enumerate_pairings(width_in))
 
     def operands(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gather signed left/right operand matrices for a batch."""
-        left = x[:, self.left_idx]
-        right = np.where(self.is_pair, x[:, self.right_idx], self.const_vals)
+        """Gather signed left/right operands along the last axis of a batch."""
+        left = x[..., self.left_idx]
+        right = np.where(self.is_pair, x[..., self.right_idx], self.const_vals)
         return left, right
 
     def scatter(self, g_left: np.ndarray, g_right: np.ndarray) -> np.ndarray:
@@ -283,32 +283,47 @@ class LogicNetwork:
             raise ShapeMismatchError(
                 f"expected (*, {self.feature_count}) features, got {arr.shape}"
             )
+        return self.forward_normalized(self.normalize(arr))
+
+    def forward_normalized(self, rows: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+        """:meth:`forward` for rows already mapped by :meth:`normalize`;
+        unchecked, for callers that normalize a whole dataset once."""
         cache = ForwardCache(
             version=self._version,
-            normalized=self.normalize(arr),
+            normalized=rows,
             gate_pre=[], gate_out=[], sel_pre=[], sel_out=[], tanh_out=[],
             outputs=np.empty(0),
         )
-        x = cache.normalized
+        cache.outputs = self._run_parts(rows, 0, cache)
+        return cache.outputs, cache
+
+    def _run_parts(self, x: np.ndarray, first: int,
+                   cache: ForwardCache | None = None) -> np.ndarray:
+        """Signed inputs of part ``first`` through that part and every later
+        one; leading axes of ``x`` beyond the row axis pass through.
+        Activations are appended to ``cache`` when one is given."""
         parts = len(self.pairing_tables)
-        for p in range(parts):
+        for p in range(first, parts):
             left, right = self.pairing_tables[p].operands(x)
             # Gates evaluate on [0, 1]; layers exchange signed values.
             t = (left + 1.0) / 2.0 + (right + 1.0) / 2.0 - self.alphas[p]
             gate = 2.0 * squash(t, self.config.squash) - 1.0
             pre = gate @ self.selectors[p].T
-            sel = np.clip(pre, -1.0, 1.0)
-            cache.gate_pre.append(t)
-            cache.gate_out.append(gate)
-            cache.sel_pre.append(pre)
-            cache.sel_out.append(sel)
-            if p + 1 < parts:
-                x = np.tanh(sel)
-                cache.tanh_out.append(x)
-            else:
-                x = sel
-        cache.outputs = x
-        return x, cache
+            sel, x = self._activate(p, pre)
+            if cache is not None:
+                cache.gate_pre.append(t)
+                cache.gate_out.append(gate)
+                cache.sel_pre.append(pre)
+                cache.sel_out.append(sel)
+                if p + 1 < parts:
+                    cache.tanh_out.append(x)
+        return x
+
+    def _activate(self, p: int, pre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Part ``p``'s clamped selector output and the value it passes on:
+        the tanh remap between parts, the clamped output after the last."""
+        sel = np.clip(pre, -1.0, 1.0)
+        return sel, (np.tanh(sel) if p + 1 < len(self.pairing_tables) else sel)
 
     def decide(self, outputs: np.ndarray) -> np.ndarray:
         """Class decisions from signed outputs: binary thresholds the single

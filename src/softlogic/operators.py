@@ -32,10 +32,6 @@ __all__ = [
     "classify_alpha",
 ]
 
-# Anchor compensation levels of the named gate kinds.
-_ANCHORS = {0.0: "disjunction", 0.5: "aggregative", 1.0: "conjunction"}
-
-
 class OperatorKind(enum.Enum):
     """Gate families reachable by the compensation level of a clamped sum."""
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, split_dataset
-from .network import LogicNetwork, fit_normalization
+from .network import LogicNetwork, ShapeMismatchError, fit_normalization
 
 __all__ = [
     "TrainingDivergedError",
@@ -119,6 +119,11 @@ def _fit(model, dataset: Dataset, config: TrainConfig, penalty_term,
             f"dataset has {dataset.class_count} classes,"
             f" model expects {model.class_count}"
         )
+    if dataset.feature_count != model.feature_count:
+        raise ShapeMismatchError(
+            f"dataset has {dataset.feature_count} features,"
+            f" model expects {model.feature_count}"
+        )
     model.norm_low, model.norm_high = fit_normalization(dataset.features)
     model.bump_version()
     train_part, val_part = split_dataset(
@@ -126,9 +131,10 @@ def _fit(model, dataset: Dataset, config: TrainConfig, penalty_term,
     )
     if val_part.features.shape[0] == 0:
         raise ValueError("validation split is empty; provide more data")
+    rows = model.normalize(train_part.features)
     targets = _targets(train_part.labels, model.class_count)
     rng = np.random.default_rng(config.seed)
-    n = train_part.features.shape[0]
+    n = rows.shape[0]
     best_rate = math.inf
     best_epoch = 0
     best_params = model.copy_parameters()
@@ -141,7 +147,7 @@ def _fit(model, dataset: Dataset, config: TrainConfig, penalty_term,
         losses = []
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            outputs, cache = model.forward(train_part.features[idx])
+            outputs, cache = model.forward_normalized(rows[idx])
             err = model.scores(outputs) - targets[idx]
             loss = (float(np.mean(err ** 2))
                     + config.l1_regularization * penalty_term(model))
@@ -266,7 +272,9 @@ class DenseTanhNet:
         arr = np.asarray(features, dtype=float)
         if arr.ndim == 1:
             arr = arr[None, :]
-        h = self.normalize(arr)
+        return self.forward_normalized(self.normalize(arr))
+
+    def forward_normalized(self, h: np.ndarray):
         activations = [h]
         for w, b in zip(self.weights, self.biases):
             h = np.tanh(h @ w.T + b)

@@ -1,12 +1,15 @@
 """Command line workflow: artifacts, exit codes, reproducibility."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import softlogic
 from softlogic.cli import main
 from softlogic.data import generate_synthetic, numeric_schema, save_csv
 from softlogic.expressions import Gate, Leaf
@@ -309,10 +312,14 @@ def test_version_flag():
 
 
 def test_console_script_runs(tmp_path):
+    # The child process imports the same package as this test, installed
+    # or not.
+    package_root = str(Path(softlogic.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys; from softlogic.cli import main; sys.exit(main(sys.argv[1:]))",
          "plot-squash", "--out", str(tmp_path / "c.csv")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert (tmp_path / "c.csv").exists()

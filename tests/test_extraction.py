@@ -1,5 +1,7 @@
 """Rule extraction: snapping, tracing, omission, faithfulness, ablation."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from softlogic.expressions import (
     parse,
     render,
 )
+from softlogic import extraction
 from softlogic.extraction import (
     ExtractionConfig,
     describe_expression,
@@ -86,6 +89,15 @@ def test_snapped_network_moves_named_levels_only():
     assert net.alphas[0][0] == 0.97
     twice = snapped_network(snapped)
     assert np.array_equal(twice.alphas[0], snapped.alphas[0])
+
+
+def test_snapped_network_keeps_names():
+    net = build_network(2, 3, NetworkConfig(hidden_width=2, logic_parts=1),
+                        feature_names=["age", "weight"],
+                        label_names=["low", "mid", "high"])
+    snapped = snapped_network(net)
+    assert snapped.feature_names == ["age", "weight"]
+    assert snapped.label_names == ["low", "mid", "high"]
 
 
 def test_snapped_network_still_runs():
@@ -279,6 +291,18 @@ def test_faithfulness_foreign_expression_uses_plain_crisp_eval():
     assert faithfulness(net, Const(True), x) == pytest.approx(positive_share)
 
 
+def test_faithfulness_of_a_trace_deeper_than_the_recursion_limit():
+    # Every one of the 779 slots is kept, so the traced fold nests 778
+    # gates deep; comparing it with its own derivation used to recurse
+    # through dataclass equality and raise RecursionError.
+    net = build_network(38, 2, NetworkConfig(logic_parts=1))
+    net.selectors[0][:] = 1.0
+    net.bump_version()
+    expr = trace_expression(net)
+    x = np.random.default_rng(3).uniform(-1, 1, size=(20, 38))
+    assert 0.0 <= faithfulness(net, expr, x) <= 1.0
+
+
 def test_faithfulness_of_wrong_rule_is_poor():
     net = one_part_net()
     net.alphas[0][PAIR] = 1.0
@@ -339,6 +363,64 @@ def test_first_gate_importance_restores_network():
     first_gate_importance(net, x)
     after, _ = net.forward(x)
     assert np.array_equal(before, after)
+
+
+def per_slot_importance(net, x):
+    """Reference ablation: zero one first-selector column of a copy and
+    rerun the whole network."""
+    base, _ = net.forward(x)
+    out = np.zeros(net.selectors[0].shape[1])
+    for slot in range(out.shape[0]):
+        ablated = copy.deepcopy(net)
+        ablated.selectors[0][:, slot] = 0.0
+        ablated.bump_version()
+        out[slot] = np.mean(np.abs(ablated.forward(x)[0] - base))
+    return out
+
+
+# Element budgets that split the 9 slots of a 3-feature network over 40 rows
+# into uneven chunks: 200 does so for one-part binary networks (chunks of
+# 5 and 4), 1440 for every deeper one (chunks of 4, 4 and 1).
+@pytest.mark.parametrize("budget", [200, 1440])
+@pytest.mark.parametrize("parts", [1, 2, 3])
+@pytest.mark.parametrize("class_count", [2, 3])
+def test_first_gate_importance_matches_per_slot_reference(parts, class_count, budget,
+                                                          monkeypatch):
+    net = build_network(3, class_count, NetworkConfig(
+        hidden_width=3, logic_parts=parts, seed=parts + class_count))
+    rng = np.random.default_rng(parts)
+    for w in net.selectors:
+        w[:] = rng.normal(size=w.shape)
+    silent = [0, 4, 7]
+    net.selectors[0][:, silent] = 0.0
+    net.bump_version()
+    x = rng.uniform(-1, 1, size=(40, 3))
+    monkeypatch.setattr(extraction, "_ABLATION_CHUNK_ELEMENTS", budget)
+    selectors = [w.copy() for w in net.selectors]
+    version = net._version
+    importance = first_gate_importance(net, x)
+    np.testing.assert_allclose(importance, per_slot_importance(net, x),
+                               rtol=0, atol=1e-12)
+    assert np.all(importance[silent] == 0.0)
+    assert np.all(np.delete(importance, silent) > 0.0)
+    assert all(np.array_equal(a, b) for a, b in zip(net.selectors, selectors))
+    assert net._version == version
+
+
+def test_first_gate_importance_spans_chunks_of_the_default_budget():
+    net = two_part_net(seed=3)
+    rng = np.random.default_rng(9)
+    for w in net.selectors:
+        w[:] = rng.normal(size=w.shape)
+    net.selectors[0][:, PAIR] = 0.0
+    net.bump_version()
+    x = rng.uniform(-1, 1, size=(20_000, 2))
+    # 20 000 rows times the 5-slot second part overflow one chunk.
+    assert 20_000 * 5 * 5 > extraction._ABLATION_CHUNK_ELEMENTS
+    importance = first_gate_importance(net, x)
+    np.testing.assert_allclose(importance, per_slot_importance(net, x),
+                               rtol=0, atol=1e-12)
+    assert importance[PAIR] == 0.0
 
 
 def test_dominant_first_gate_reports_slot_kind_level():

@@ -7,7 +7,7 @@ import pytest
 
 from softlogic.data import Dataset, generate_synthetic
 from softlogic.expressions import Gate, Leaf
-from softlogic.network import NetworkConfig, build_network
+from softlogic.network import NetworkConfig, ShapeMismatchError, build_network
 from softlogic.operators import OperatorKind
 from softlogic.training import (
     BaselineConfig,
@@ -165,6 +165,18 @@ def test_training_rejects_class_count_mismatch():
         train(net, ds, quick_config())
 
 
+@pytest.mark.parametrize("build, fit", [
+    (lambda: build_network(4, 2, NetworkConfig(hidden_width=4)), train),
+    (lambda: build_baseline(BaselineConfig(widths=(4, 8, 1)), 2), train_baseline),
+])
+def test_training_rejects_feature_count_mismatch(build, fit):
+    net = build()
+    with pytest.raises(ShapeMismatchError, match="features"):
+        fit(net, and_dataset(rows=100), quick_config())
+    # Rejected before anything is fitted.
+    assert np.array_equal(net.norm_low, -np.ones(4))
+
+
 def test_training_aborts_on_non_finite_input():
     ds = and_dataset(rows=100, seed=8)
     ds.features[3, 1] = np.nan
@@ -244,6 +256,7 @@ def test_fuzzy_and_baseline_see_identical_validation_split():
 
     class Probe:
         class_count = 2
+        feature_count = 3
         norm_low = None
         norm_high = None
 
@@ -259,8 +272,11 @@ def test_fuzzy_and_baseline_see_identical_validation_split():
         def classify(self, features):
             return np.zeros(features.shape[0], dtype=np.intp), None
 
-        def forward(self, features):
-            seen.append(features.shape[0])
+        def normalize(self, features):
+            return features
+
+        def forward_normalized(self, rows):
+            seen.append(rows.shape[0])
             raise TrainingDivergedError("stop")
 
     from softlogic.training import _fit
