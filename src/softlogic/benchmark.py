@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -169,15 +169,7 @@ def _run_one(spec: BenchmarkSpec, dataset: Dataset, seeds: range,
         train_part, test_part = split_dataset(
             dataset, test_fraction, seed=seed, stratified=True
         )
-        cfg = training.TrainConfig(
-            learning_rate=train_config_base.learning_rate,
-            l1_regularization=train_config_base.l1_regularization,
-            max_epochs=train_config_base.max_epochs,
-            patience=train_config_base.patience,
-            batch_size=train_config_base.batch_size,
-            validation_fraction=train_config_base.validation_fraction,
-            seed=seed,
-        )
+        cfg = replace(train_config_base, seed=seed)
         net = build_network(
             dataset.feature_count, dataset.class_count,
             NetworkConfig(hidden_width=hidden_width, seed=seed),

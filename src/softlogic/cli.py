@@ -18,7 +18,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +38,7 @@ from .extraction import (
     trace_expression,
 )
 from .network import (
+    ConfigurationError,
     LogicNetwork,
     NetworkConfig,
     ShapeMismatchError,
@@ -65,20 +68,48 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
+def _setting(name: str, value, kind: type):
+    """A config-file value as ``kind`` (int or float); JSON null, booleans,
+    strings, non-finite numbers and, for integers, fractions are rejected."""
+    if type(value) is int or (type(value) is float and math.isfinite(value)
+                              and (kind is float or value.is_integer())):
+        try:
+            return kind(value)
+        except OverflowError:       # an integer too large for a float
+            pass
+    noun = "an integer" if kind is int else "a finite number"
+    raise ConfigurationError(f"config key {name!r} must be {noun}, got {json.dumps(value)}")
+
+
 class _Options:
     """Flag resolution: explicit flag, else config-file value, else default."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.config = _load_config_file(getattr(args, "config", None))
+        self.unread = set(self.config)
 
     def get(self, name: str, default):
-        explicit = getattr(self.args, name, None)
-        if explicit is not None:
-            return explicit
+        self.unread.discard(name)
         if name in self.config:
-            return type(default)(self.config[name])
-        return default
+            # Checked even when a flag overrides it: the file is malformed.
+            default = _setting(name, self.config[name], type(default))
+        explicit = getattr(self.args, name, None)
+        return default if explicit is None else explicit
+
+    def build(self, cls):
+        """``cls`` with every field that has a flag of the same name
+        resolved; the rest keep their defaults."""
+        return cls(**{f.name: self.get(f.name, f.default)
+                      for f in fields(cls) if hasattr(self.args, f.name)})
+
+    def check_all_read(self) -> None:
+        """Reject config-file keys the subcommand never read."""
+        if self.unread:
+            raise ConfigurationError(
+                f"unknown config key(s) {', '.join(sorted(self.unread))}"
+                f" for {self.args.command}"
+            )
 
 
 def _load_dataset(data_path: str, schema_path: str):
@@ -92,22 +123,10 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def cmd_train(args: argparse.Namespace) -> int:
     opt = _Options(args)
+    net_config = opt.build(NetworkConfig)
+    train_config = opt.build(TrainConfig)
+    opt.check_all_read()
     dataset = _load_dataset(args.data, args.schema)
-    seed = opt.get("seed", 0)
-    net_config = NetworkConfig(
-        hidden_width=opt.get("hidden_width", 8),
-        logic_parts=opt.get("logic_parts", 2),
-        seed=seed,
-    )
-    train_config = TrainConfig(
-        learning_rate=opt.get("learning_rate", 0.01),
-        l1_regularization=opt.get("l1_regularization", 0.0001),
-        max_epochs=opt.get("max_epochs", 200),
-        patience=opt.get("patience", 20),
-        batch_size=opt.get("batch_size", 16),
-        validation_fraction=opt.get("validation_fraction", 0.15),
-        seed=seed,
-    )
     net = build_network(
         dataset.feature_count, dataset.class_count, net_config,
         feature_names=dataset.feature_names,
@@ -121,6 +140,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     write_training_log(result.log, log_path)
     manifest_path = (Path(args.manifest) if args.manifest
                      else out_path.with_suffix(".manifest.json"))
+    network = asdict(net_config)
     _write_json(manifest_path, {
         "command": "train",
         "version": __version__,
@@ -135,21 +155,9 @@ def cmd_train(args: argparse.Namespace) -> int:
             "path": str(args.schema),
             "sha256": _sha256(Path(args.schema)),
         },
-        "network": {
-            "hidden_width": net_config.hidden_width,
-            "logic_parts": net_config.logic_parts,
-            "alpha_init": list(net_config.alpha_init),
-            "seed": net_config.seed,
-        },
-        "training": {
-            "learning_rate": train_config.learning_rate,
-            "l1_regularization": train_config.l1_regularization,
-            "max_epochs": train_config.max_epochs,
-            "patience": train_config.patience,
-            "batch_size": train_config.batch_size,
-            "validation_fraction": train_config.validation_fraction,
-            "seed": train_config.seed,
-        },
+        "network": {key: network[key] for key in
+                    ("hidden_width", "logic_parts", "alpha_init", "seed")},
+        "training": asdict(train_config),
     })
     print(f"model written to {out_path}")
     print(f"log written to {log_path}")
@@ -180,13 +188,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_extract(args: argparse.Namespace) -> int:
     opt = _Options(args)
-    net = LogicNetwork.load(args.model)
     config = ExtractionConfig(
         alpha_tolerance=opt.get("alpha_tolerance", 0.15),
         weight_keep_ratio=opt.get("keep_ratio", 0.5),
         max_rendered_length=opt.get("max_rendered_length", 120),
         max_terms_per_node=opt.get("max_terms", 4),
     )
+    seed, samples = opt.get("seed", 0), opt.get("samples", 2000)
+    opt.check_all_read()
+    net = LogicNetwork.load(args.model)
     if args.data:
         if not args.schema:
             print("--data requires --schema", file=sys.stderr)
@@ -194,8 +204,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         features = _load_dataset(args.data, args.schema).features
     else:
         # No data given: sample the raw feature box the model was fitted on.
-        rng = np.random.default_rng(opt.get("seed", 0))
-        samples = opt.get("samples", 2000)
+        rng = np.random.default_rng(seed)
         features = rng.uniform(
             net.norm_low, net.norm_high, size=(samples, net.feature_count)
         )
@@ -230,13 +239,11 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
     opt = _Options(args)
-    rows = bench.run_benchmark(
-        data_dir=args.data_dir,
-        seeds=opt.get("seeds", 5),
-        test_fraction=opt.get("test_fraction", 0.30),
-        hidden_width=opt.get("hidden_width", 8),
-        keys=args.only or None,
-    )
+    settings = dict(seeds=opt.get("seeds", 5),
+                    test_fraction=opt.get("test_fraction", 0.30),
+                    hidden_width=opt.get("hidden_width", 8))
+    opt.check_all_read()
+    rows = bench.run_benchmark(data_dir=args.data_dir, keys=args.only or None, **settings)
     bench.write_benchmark_csv(rows, args.out)
     print(bench.format_benchmark_table(rows))
     print(f"\ncsv written to {args.out}")

@@ -75,35 +75,42 @@ class Not:
 LogicExpr = Union[Leaf, Const, Gate, Not]
 
 
-def _wrap(child: LogicExpr) -> str:
-    text = render(child)
-    # Leaves and constants already read as atoms; composites get parens.
-    if isinstance(child, (Leaf, Const)):
-        return text
-    return f"({text})"
-
-
 def render(expr: LogicExpr) -> str:
     """Deterministic infix rendering.
 
     ``Leaf(5)`` becomes ``(5)``, constants become ``1`` / ``0``, negation
-    becomes ``1-(...)`` and a gate joins its wrapped operands with ``or``,
-    ``uni``, ``and`` or ``op[a]`` where a is the two-decimal compensation
-    level of an unnamed gate.
+    becomes ``1-(...)`` and a gate joins its operands with ``or``, ``uni``,
+    ``and`` or ``op[a]`` where a is the two-decimal compensation level of an
+    unnamed gate; composite operands are parenthesized.
     """
-    if isinstance(expr, Leaf):
-        return f"({expr.slot})"
-    if isinstance(expr, Const):
-        return "1" if expr.truth else "0"
-    if isinstance(expr, Not):
-        return f"1-({render(expr.child)})"
-    if isinstance(expr, Gate):
-        if expr.kind is OperatorKind.OTHER:
-            op = f"op[{expr.alpha:.2f}]"
+    return _render(expr, lambda slot: f"({slot})")
+
+
+def _render(expr: LogicExpr, leaf_text) -> str:
+    """:func:`render` with ``leaf_text(slot)`` as the text of each leaf.
+
+    Walks the tree with an explicit stack, so traces of wide models render
+    however deeply their gates nest.
+    """
+    out: list[str] = []
+    stack: list = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif isinstance(node, Leaf):
+            out.append(leaf_text(node.slot))
+        elif isinstance(node, Const):
+            out.append("1" if node.truth else "0")
+        elif isinstance(node, Not):
+            stack += [")", node.child, "1-("]
+        elif isinstance(node, Gate):
+            for item in (node.right, f" {node.kind.token(node.alpha)} ", node.left):
+                # Leaves and constants already read as atoms; composites get parens.
+                stack += [")", item, "("] if isinstance(item, (Gate, Not)) else [item]
         else:
-            op = expr.kind.symbol
-        return f"{_wrap(expr.left)} {op} {_wrap(expr.right)}"
-    raise TypeError(f"not a LogicExpr: {expr!r}")
+            raise TypeError(f"not a LogicExpr: {node!r}")
+    return "".join(out)
 
 
 def canonical_form(expr: LogicExpr) -> LogicExpr:

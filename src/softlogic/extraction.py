@@ -22,7 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import Const, Gate, Leaf, LogicExpr, Not, evaluate_crisp, leaf_count, render
+from .expressions import (
+    Const, Gate, Leaf, LogicExpr, Not, _render, evaluate_crisp, leaf_count, render,
+)
 from .network import LogicNetwork
 from .operators import OperatorKind, classify_alpha, gate_crisp
 
@@ -325,7 +327,7 @@ def first_gate_importance(net: LogicNetwork, features: np.ndarray) -> np.ndarray
     for start in range(0, slots, step):
         cols = slice(start, start + step)
         pre = cache.sel_pre[0][None] - gate[:, cols].T[:, :, None] * w0[:, cols].T[:, None, :]
-        _, x = net._activate(0, pre)
+        x = net._activate(0, pre)
         ablated = net._run_parts(x, 1)
         importance[cols] = np.mean(np.abs(ablated - base), axis=(1, 2))
     return importance
@@ -348,11 +350,7 @@ def leaf_labels(net: LogicNetwork,
     kinds = snap_operators(net, config)[0]
     labels = []
     for slot, pairing in enumerate(net.pairing_tables[0].pairings):
-        kind = kinds[slot]
-        if kind is OperatorKind.OTHER:
-            op = f"op[{float(net.alphas[0][slot]):.2f}]"
-        else:
-            op = kind.symbol
+        op = kinds[slot].token(float(net.alphas[0][slot]))
         if pairing.kind == "pair":
             labels.append(f"({names[pairing.i]} {op} {names[pairing.j]})")
         elif pairing.kind == "true":
@@ -365,20 +363,4 @@ def leaf_labels(net: LogicNetwork,
 def describe_expression(expr: LogicExpr, labels: list[str]) -> str:
     """Rendering with leaf indices replaced by their gate labels; for
     reading only, not parseable."""
-    if isinstance(expr, Leaf):
-        return labels[expr.slot]
-    if isinstance(expr, Const):
-        return "1" if expr.truth else "0"
-    if isinstance(expr, Not):
-        return f"1-({describe_expression(expr.child, labels)})"
-    if expr.kind is OperatorKind.OTHER:
-        op = f"op[{expr.alpha:.2f}]"
-    else:
-        op = expr.kind.symbol
-    left = describe_expression(expr.left, labels)
-    right = describe_expression(expr.right, labels)
-    if isinstance(expr.left, (Gate, Not)):
-        left = f"({left})"
-    if isinstance(expr.right, (Gate, Not)):
-        right = f"({right})"
-    return f"{left} {op} {right}"
+    return _render(expr, labels.__getitem__)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +118,9 @@ class PairingTable:
                 is_pair[s] = True
             else:
                 const[s] = 1.0 if p.kind == "true" else -1.0
+        indices = np.concatenate([left, right])
+        if np.any((indices < 0) | (indices >= width_in)):
+            raise ConfigurationError(f"pairing index outside the layer's {width_in} inputs")
         self.left_idx = left
         self.right_idx = right
         self.const_vals = const
@@ -161,6 +164,8 @@ class NetworkConfig:
             raise ConfigurationError("hidden_width must be at least 2")
         if self.logic_parts < 1:
             raise ConfigurationError("logic_parts must be at least 1")
+        # Model files carry the range as a JSON list.
+        object.__setattr__(self, "alpha_init", tuple(self.alpha_init))
         lo, hi = self.alpha_init
         if not (0.0 <= lo <= hi <= 1.0):
             raise ConfigurationError("alpha_init must be an ordered range in [0, 1]")
@@ -180,11 +185,9 @@ class ForwardCache:
     """Activations recorded by forward for use in backward."""
 
     version: int
-    normalized: np.ndarray
     gate_pre: list[np.ndarray]      # unit-domain gate arguments per part
     gate_out: list[np.ndarray]      # signed gate outputs per part
     sel_pre: list[np.ndarray]       # selector outputs before clamping
-    sel_out: list[np.ndarray]       # clamped selector outputs
     tanh_out: list[np.ndarray]      # remapped values between parts
     outputs: np.ndarray
 
@@ -243,10 +246,6 @@ class LogicNetwork:
     def output_width(self) -> int:
         return 1 if self.class_count == 2 else self.class_count
 
-    @property
-    def logic_parts(self) -> int:
-        return self.config.logic_parts
-
     def layer_specs(self) -> list[LayerSpec]:
         specs = [LayerSpec("normalization", self.feature_count, self.feature_count)]
         for p, table in enumerate(self.pairing_tables):
@@ -290,8 +289,7 @@ class LogicNetwork:
         unchecked, for callers that normalize a whole dataset once."""
         cache = ForwardCache(
             version=self._version,
-            normalized=rows,
-            gate_pre=[], gate_out=[], sel_pre=[], sel_out=[], tanh_out=[],
+            gate_pre=[], gate_out=[], sel_pre=[], tanh_out=[],
             outputs=np.empty(0),
         )
         cache.outputs = self._run_parts(rows, 0, cache)
@@ -309,21 +307,20 @@ class LogicNetwork:
             t = (left + 1.0) / 2.0 + (right + 1.0) / 2.0 - self.alphas[p]
             gate = 2.0 * squash(t, self.config.squash) - 1.0
             pre = gate @ self.selectors[p].T
-            sel, x = self._activate(p, pre)
+            x = self._activate(p, pre)
             if cache is not None:
                 cache.gate_pre.append(t)
                 cache.gate_out.append(gate)
                 cache.sel_pre.append(pre)
-                cache.sel_out.append(sel)
                 if p + 1 < parts:
                     cache.tanh_out.append(x)
         return x
 
-    def _activate(self, p: int, pre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Part ``p``'s clamped selector output and the value it passes on:
-        the tanh remap between parts, the clamped output after the last."""
+    def _activate(self, p: int, pre: np.ndarray) -> np.ndarray:
+        """The value part ``p`` passes on: its clamped selector output,
+        tanh-remapped between parts."""
         sel = np.clip(pre, -1.0, 1.0)
-        return sel, (np.tanh(sel) if p + 1 < len(self.pairing_tables) else sel)
+        return np.tanh(sel) if p + 1 < len(self.pairing_tables) else sel
 
     def decide(self, outputs: np.ndarray) -> np.ndarray:
         """Class decisions from signed outputs: binary thresholds the single
@@ -388,27 +385,16 @@ class LogicNetwork:
         self.bump_version()
 
     def to_dict(self) -> dict:
+        config = asdict(self.config)
+        squash_params = config.pop("squash")
         return {
             "format": FORMAT_NAME,
             "format_version": FORMAT_VERSION,
             "feature_count": self.feature_count,
             "class_count": self.class_count,
-            "config": {
-                "hidden_width": self.config.hidden_width,
-                "logic_parts": self.config.logic_parts,
-                "alpha_init": list(self.config.alpha_init),
-                "max_pairing_slots": self.config.max_pairing_slots,
-                "seed": self.config.seed,
-            },
-            "squash": {
-                "center": self.config.squash.center,
-                "ramp_width": self.config.squash.ramp_width,
-                "smoothness": self.config.squash.smoothness,
-            },
-            "layers": [
-                {"kind": s.kind, "width_in": s.width_in, "width_out": s.width_out}
-                for s in self.layer_specs()
-            ],
+            "config": config,
+            "squash": squash_params,
+            "layers": [asdict(s) for s in self.layer_specs()],
             "pairings": [
                 [p.to_json() for p in table.pairings]
                 for table in self.pairing_tables
@@ -425,43 +411,44 @@ class LogicNetwork:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LogicNetwork":
-        if data.get("format") != FORMAT_NAME:
+        """Inverse of :meth:`to_dict`; any malformed part of the file is a
+        :class:`ConfigurationError`."""
+        if not isinstance(data, dict) or data.get("format") != FORMAT_NAME:
             raise ValueError("not a recognized model file")
         if data.get("format_version") != FORMAT_VERSION:
             raise ValueError(
                 f"unsupported model format version {data.get('format_version')}"
             )
-        cfg = data["config"]
-        config = NetworkConfig(
-            hidden_width=cfg["hidden_width"],
-            logic_parts=cfg["logic_parts"],
-            squash=SquashParams(**data["squash"]),
-            alpha_init=tuple(cfg["alpha_init"]),
-            max_pairing_slots=cfg["max_pairing_slots"],
-            seed=cfg["seed"],
-        )
-        alphas = [np.asarray(a, dtype=float) for a in data["alphas"]]
-        selectors = [np.asarray(w, dtype=float) for w in data["selectors"]]
-        # Table input widths follow the selector chain.
-        tables = []
-        width = data["feature_count"]
-        for p, items in enumerate(data["pairings"]):
-            pairings = [Pairing.from_json(item) for item in items]
-            tables.append(PairingTable(width, pairings))
-            width = selectors[p].shape[0]
-        net = cls(
-            feature_count=data["feature_count"],
-            class_count=data["class_count"],
-            config=config,
-            pairing_tables=tables,
-            alphas=alphas,
-            selectors=selectors,
-            norm_low=np.asarray(data["normalization"]["low"], dtype=float),
-            norm_high=np.asarray(data["normalization"]["high"], dtype=float),
-            feature_names=data.get("feature_names"),
-            label_names=data.get("label_names"),
-        )
-        net.validate()
+        try:
+            squash_params = _settings_from(SquashParams, data["squash"], "squash")
+            config = _settings_from(NetworkConfig, data["config"], "config",
+                                    squash=squash_params)
+            alphas = [np.asarray(a, dtype=float) for a in data["alphas"]]
+            selectors = [np.asarray(w, dtype=float) for w in data["selectors"]]
+            # Table input widths follow the selector chain.
+            tables = []
+            width = data["feature_count"]
+            for p, items in enumerate(data["pairings"]):
+                pairings = [Pairing.from_json(item) for item in items]
+                tables.append(PairingTable(width, pairings))
+                width = selectors[p].shape[0]
+            net = cls(
+                feature_count=data["feature_count"],
+                class_count=data["class_count"],
+                config=config,
+                pairing_tables=tables,
+                alphas=alphas,
+                selectors=selectors,
+                norm_low=np.asarray(data["normalization"]["low"], dtype=float),
+                norm_high=np.asarray(data["normalization"]["high"], dtype=float),
+                feature_names=data.get("feature_names"),
+                label_names=data.get("label_names"),
+            )
+            net.validate()
+        except KeyError as exc:
+            raise ConfigurationError(f"model file lacks key {exc}") from exc
+        except (IndexError, TypeError) as exc:
+            raise ConfigurationError(f"malformed model file: {exc}") from exc
         return net
 
     def validate(self) -> None:
@@ -477,6 +464,8 @@ class LogicNetwork:
                 )
             if self.alphas[p].shape != (table.width_out,):
                 raise ConfigurationError(f"part {p}: alpha width mismatch")
+            if not np.all((self.alphas[p] >= 0.0) & (self.alphas[p] <= 1.0)):
+                raise ConfigurationError(f"part {p}: alphas must lie in [0, 1]")
             if self.selectors[p].shape[1] != table.width_out:
                 raise ConfigurationError(f"part {p}: selector width mismatch")
             width = self.selectors[p].shape[0]
@@ -488,6 +477,8 @@ class LogicNetwork:
             self.norm_high.shape != (self.feature_count,)
         ):
             raise ConfigurationError("normalization bounds width mismatch")
+        if not np.all(self.norm_low <= self.norm_high):
+            raise ConfigurationError("normalization low bound exceeds high")
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(serialize_model(self))
@@ -495,6 +486,22 @@ class LogicNetwork:
     @classmethod
     def load(cls, path: str | Path) -> "LogicNetwork":
         return cls.from_dict(json.loads(Path(path).read_text()))
+
+
+def _settings_from(cls, block, name: str, **given):
+    """``cls`` from a model-file block that holds exactly its fields, less
+    those in ``given``; a missing key never falls back to the default."""
+    if not isinstance(block, dict):
+        raise ConfigurationError(f"{name} must be a JSON object")
+    expected = {f.name for f in fields(cls)} - set(given)
+    for problem, keys in (("lacks", expected - set(block)),
+                          ("has unknown", set(block) - expected)):
+        if keys:
+            raise ConfigurationError(f"{name} {problem} key(s) {', '.join(sorted(keys))}")
+    try:
+        return cls(**block, **given)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{name}: {exc}") from exc
 
 
 def serialize_model(net: LogicNetwork) -> str:

@@ -45,6 +45,11 @@ class OperatorKind(enum.Enum):
         """Token used in rendered expressions (``or``, ``uni``, ``and``)."""
         return self.value
 
+    def token(self, alpha: float) -> str:
+        """Operator token of a gate with level ``alpha``: the kind's symbol,
+        or ``op[a]`` with the two-decimal level for OTHER."""
+        return f"op[{alpha:.2f}]" if self is OperatorKind.OTHER else self.symbol
+
     @property
     def canonical_alpha(self) -> float | None:
         """Exact compensation level the kind snaps to, None for OTHER."""

@@ -258,21 +258,13 @@ class DenseTanhNet:
     def feature_count(self) -> int:
         return self.config.widths[0]
 
-    def bump_version(self) -> None:
-        self._version += 1
-
-    def normalize(self, features: np.ndarray) -> np.ndarray:
-        span = self.norm_high - self.norm_low
-        safe = np.where(span > 0, span, 1.0)
-        z = 2.0 * (features - self.norm_low) / safe - 1.0
-        z = np.where(span > 0, z, 0.0)
-        return np.clip(z, -1.0, 1.0)
-
-    def forward(self, features: np.ndarray):
-        arr = np.asarray(features, dtype=float)
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        return self.forward_normalized(self.normalize(arr))
+    # The logic network's normalize/decide/score path, shared as is.
+    bump_version = LogicNetwork.bump_version
+    normalize = LogicNetwork.normalize
+    forward = LogicNetwork.forward
+    scores = LogicNetwork.scores
+    decide = LogicNetwork.decide
+    classify = LogicNetwork.classify
 
     def forward_normalized(self, h: np.ndarray):
         activations = [h]
@@ -293,18 +285,6 @@ class DenseTanhNet:
             if layer > 0:
                 g = g @ self.weights[layer]
         return grad_w, grad_b
-
-    def scores(self, outputs: np.ndarray) -> np.ndarray:
-        return (outputs + 1.0) / 2.0
-
-    def decide(self, outputs: np.ndarray) -> np.ndarray:
-        if self.class_count == 2:
-            return (self.scores(outputs)[:, 0] >= 0.5).astype(np.intp)
-        return np.argmax(outputs, axis=1)
-
-    def classify(self, features: np.ndarray):
-        outputs, _ = self.forward(features)
-        return self.decide(outputs), self.scores(outputs)
 
     def copy_parameters(self):
         return ([w.copy() for w in self.weights], [b.copy() for b in self.biases])

@@ -13,7 +13,7 @@ import softlogic
 from softlogic.cli import main
 from softlogic.data import generate_synthetic, numeric_schema, save_csv
 from softlogic.expressions import Gate, Leaf
-from softlogic.network import LogicNetwork
+from softlogic.network import LogicNetwork, NetworkConfig, build_network
 from softlogic.operators import OperatorKind
 
 
@@ -323,3 +323,161 @@ def test_console_script_runs(tmp_path):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert (tmp_path / "c.csv").exists()
+
+
+# ------------------------------------------------- serialized settings
+
+
+def test_serialized_setting_blocks_are_pinned(tmp_path, corpus):
+    # Model and manifest readers rely on these exact field lists and this
+    # formatting; a change here changes every written file.
+    data, schema = corpus
+    code, out = run_train(tmp_path, data, schema, extra=(
+        "--seed", "3", "--hidden-width", "4", "--learning-rate", "0.05"))
+    assert code == 0
+    model = out.read_text()
+    assert (
+        '  "config": {\n'
+        '    "hidden_width": 4,\n'
+        '    "logic_parts": 2,\n'
+        '    "alpha_init": [\n'
+        '      0.25,\n'
+        '      0.75\n'
+        '    ],\n'
+        '    "max_pairing_slots": 10000,\n'
+        '    "seed": 3\n'
+        '  },\n'
+        '  "squash": {\n'
+        '    "center": 0.5,\n'
+        '    "ramp_width": 1.0,\n'
+        '    "smoothness": 80.0\n'
+        '  },\n'
+    ) in model
+    manifest = (tmp_path / "model.manifest.json").read_text()
+    assert (
+        '  "network": {\n'
+        '    "alpha_init": [\n'
+        '      0.25,\n'
+        '      0.75\n'
+        '    ],\n'
+        '    "hidden_width": 4,\n'
+        '    "logic_parts": 2,\n'
+        '    "seed": 3\n'
+        '  },\n'
+    ) in manifest
+    assert (
+        '  "training": {\n'
+        '    "batch_size": 16,\n'
+        '    "l1_regularization": 0.0001,\n'
+        '    "learning_rate": 0.05,\n'
+        '    "max_epochs": 5,\n'
+        '    "patience": 5,\n'
+        '    "seed": 3,\n'
+        '    "validation_fraction": 0.15\n'
+        '  },\n'
+    ) in manifest
+
+
+# --------------------------------------------- malformed config files
+
+
+@pytest.mark.parametrize("key, value", [
+    ("hidden_width", None),
+    ("batch_size", True),
+    ("logic_parts", 1.5),
+    ("learning_rate", "fast"),
+    ("max_epochs", True),          # rejected although --max-epochs overrides it
+])
+def test_train_config_value_of_wrong_type_exits_2(tmp_path, corpus, capsys,
+                                                  key, value):
+    data, schema = corpus
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    code, _ = run_train(tmp_path, data, schema, extra=("--config", str(cfg)))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bad input" in err and f"'{key}'" in err
+
+
+@pytest.mark.parametrize("command, key", [
+    ("train", "hidden_widht"),
+    ("extract", "keep_ration"),
+    ("benchmark", "seed"),
+])
+def test_config_key_the_subcommand_never_reads_exits_2(tmp_path, corpus, capsys,
+                                                       command, key):
+    data, schema = corpus
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"hidden_width": 4, key: 1}))
+    argv = {
+        "train": ["--data", str(data), "--schema", str(schema),
+                  "--out", str(tmp_path / "m.json"), "--max-epochs", "2"],
+        "extract": ["--model", str(saved_model(tmp_path)), "--samples", "20"],
+        "benchmark": ["--data-dir", str(tmp_path), "--out", str(tmp_path / "b.csv")],
+    }[command]
+    assert main([command, *argv, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown config key" in err and key in err
+
+
+# ---------------------------------------------- malformed model files
+
+
+def saved_model(tmp_path, edit=None, net=None):
+    """A small untrained model written to disk, after ``edit`` changed
+    its JSON payload."""
+    net = net or build_network(3, 2, NetworkConfig(hidden_width=2))
+    payload = net.to_dict()
+    if edit:
+        edit(payload)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+_DELETE = object()
+
+
+def _edit(path, value=_DELETE):
+    """Set the value at ``path`` in a model payload, or delete it."""
+    def edit(payload):
+        *parents, last = path
+        node = payload
+        for key in parents:
+            node = node[key]
+        if value is _DELETE:
+            del node[last]
+        else:
+            node[last] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(_edit(["alphas"]), id="missing-alphas"),
+    pytest.param(_edit(["config", "seed"]), id="missing-config-seed"),
+    pytest.param(_edit(["squash", "center"]), id="missing-squash-center"),
+    pytest.param(_edit(["config", "hidden_widht"], 8), id="unknown-config-key"),
+    pytest.param(_edit(["config", "hidden_width"], None), id="null-config-value"),
+    pytest.param(_edit(["squash", "smoothness"], "sharp"), id="string-squash-value"),
+    pytest.param(_edit(["pairings", 0, 0], ["pair", 0, 3]), id="pairing-index-past-width"),
+    pytest.param(_edit(["alphas", 0, 0], 1.5), id="alpha-above-one"),
+    pytest.param(_edit(["normalization", "low", 0], 2.0), id="low-above-high"),
+])
+def test_malformed_model_file_exits_2(tmp_path, corpus, capsys, edit):
+    data, schema = corpus
+    model = saved_model(tmp_path, edit)
+    assert main(["eval", "--model", str(model), "--data", str(data),
+                 "--schema", str(schema)]) == 2
+    assert "bad input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_extract_renders_a_778_gate_fold(tmp_path, capsys, mode):
+    # Every one of the 779 first-layer slots is kept, so the trace folds
+    # them into a left-nested chain of 778 gates.
+    net = build_network(38, 2, NetworkConfig(logic_parts=1))
+    net.selectors[0][:] = 1.0
+    model = saved_model(tmp_path, net=net)
+    assert main(["extract", "--model", str(model), "--samples", "50", *mode]) == 0
+    out = capsys.readouterr().out
+    assert out.count("uni") >= 778

@@ -19,6 +19,7 @@ from softlogic.expressions import (
     render,
     to_dict,
 )
+from softlogic.extraction import describe_expression
 from softlogic.operators import OperatorKind, gate_crisp
 
 AND = OperatorKind.CONJUNCTION
@@ -89,8 +90,24 @@ def test_render_unnamed_gate_shows_level():
     assert render(expr) == "(0) op[0.30] (1)"
 
 
+def test_render_deep_fold_without_recursion():
+    # A left-nested chain deeper than the interpreter's recursion limit.
+    expr, text = Leaf(0), "(0)"
+    for i in range(1, 3000):
+        expr = Gate(UNI, 0.5, expr, Not(Leaf(i)))
+        left = text if i == 1 else f"({text})"
+        text = f"{left} uni (1-(({i})))"
+    assert render(expr) == text
+
+
 def test_render_uni_symbol():
     assert render(Gate(UNI, 0.5, Leaf(2), Not(Leaf(3)))) == "(2) uni (1-((3)))"
+
+
+@given(trees())
+def test_describe_expression_is_render_with_labelled_leaves(expr):
+    labels = [f"({slot})" for slot in range(10)]
+    assert describe_expression(expr, labels) == render(expr)
 
 
 # ------------------------------------------------------------- parsing

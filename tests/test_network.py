@@ -217,8 +217,10 @@ def test_outputs_closed_in_signed_interval():
     net.bump_version()
     out, cache = net.forward(rng.uniform(-50, 50, size=(64, 4)))
     assert np.all(out >= -1.0) and np.all(out <= 1.0)
-    for sel in cache.sel_out:
-        assert np.all(np.abs(sel) <= 1.0)
+    assert np.all(np.abs(cache.outputs) <= 1.0)
+    # Between parts the clamped selector outputs pass through tanh.
+    for remapped in cache.tanh_out:
+        assert np.all(np.abs(remapped) <= np.tanh(1.0))
     for gate in cache.gate_out:
         assert np.all(np.abs(gate) <= 1.0 + 1e-9)
 

@@ -211,6 +211,15 @@ def test_baseline_config_validation():
         BaselineConfig(widths=(3, 0, 1))
 
 
+def test_baseline_forward_checks_feature_width():
+    # The baseline shares the logic network's forward, shape check included.
+    net = build_baseline(BaselineConfig(widths=(3, 5, 1)), 2)
+    with pytest.raises(ShapeMismatchError):
+        net.forward(np.zeros((2, 4)))
+    classes, scores = net.classify(np.zeros(3))
+    assert classes.shape == (1,) and scores.shape == (1, 1)
+
+
 def test_baseline_learns_conjunction_data():
     ds = and_dataset(rows=400, seed=10)
     test = and_dataset(rows=400, seed=110)
