@@ -165,14 +165,12 @@ def _trace_annotated(net: LogicNetwork, config: ExtractionConfig,
     def slot_trace(part: int, slot: int):
         if part == 0:
             return _ALeaf(slot)
-        pairing = net.pairing_tables[part].pairings[slot]
+        table = net.pairing_tables[part]
         alpha = float(net.alphas[part][slot])
         kind = classify_alpha(alpha, config.alpha_tolerance)
-        left = selector_trace(part - 1, pairing.i)
-        if pairing.kind == "pair":
-            right = selector_trace(part - 1, pairing.j)
-        else:
-            right = _AConst(pairing.kind == "true")
+        left = selector_trace(part - 1, int(table.left_idx[slot]))
+        j = int(table.right_idx[slot])
+        right = selector_trace(part - 1, j) if j < table.width_in else _AConst(j == table.width_in)
         return _AGate(kind, alpha, left, right)
 
     return selector_trace(parts - 1, output_index)
@@ -292,6 +290,8 @@ def faithfulness(net: LogicNetwork, expr: LogicExpr, features: np.ndarray,
     """
     arr = np.asarray(features, dtype=float)
     outputs, cache = net.forward(arr)
+    if len(outputs) == 0:
+        raise ValueError("faithfulness needs at least one row")
     leaves01 = (cache.gate_out[0] + 1.0) / 2.0
     annotated = _trace_annotated(net, config, output_index)
     if _same_expr(_derive(annotated), expr):
@@ -347,17 +347,13 @@ def leaf_labels(net: LogicNetwork,
                 config: ExtractionConfig = ExtractionConfig()) -> list[str]:
     """Readable name per first-pairing slot, e.g. ``(age and weight)``."""
     names = net.feature_names or [f"f{i}" for i in range(net.feature_count)]
+    operands = [*names, "1", "0"]    # indexed like the augmented input
+    table = net.pairing_tables[0]
     kinds = snap_operators(net, config)[0]
-    labels = []
-    for slot, pairing in enumerate(net.pairing_tables[0].pairings):
-        op = kinds[slot].token(float(net.alphas[0][slot]))
-        if pairing.kind == "pair":
-            labels.append(f"({names[pairing.i]} {op} {names[pairing.j]})")
-        elif pairing.kind == "true":
-            labels.append(f"({names[pairing.i]} {op} 1)")
-        else:
-            labels.append(f"({names[pairing.i]} {op} 0)")
-    return labels
+    return [
+        f"({operands[i]} {kinds[s].token(float(net.alphas[0][s]))} {operands[j]})"
+        for s, (i, j) in enumerate(zip(table.left_idx, table.right_idx))
+    ]
 
 
 def describe_expression(expr: LogicExpr, labels: list[str]) -> str:

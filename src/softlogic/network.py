@@ -101,37 +101,26 @@ def enumerate_pairings(width: int) -> list[Pairing]:
 
 
 class PairingTable:
-    """Pairing list plus precomputed gather indices and scatter matrices."""
+    """Pairing list as two gather indices into the augmented input
+    ``[x, +1, -1]``: slot s combines column ``left_idx[s]`` with column
+    ``right_idx[s]``, so a "true" slot's right index is ``width_in`` and a
+    "false" slot's is ``width_in + 1``."""
 
     def __init__(self, width_in: int, pairings: list[Pairing]):
         self.width_in = width_in
         self.pairings = pairings
         self.width_out = len(pairings)
-        left = np.zeros(self.width_out, dtype=np.intp)
-        right = np.zeros(self.width_out, dtype=np.intp)
-        const = np.zeros(self.width_out)
-        is_pair = np.zeros(self.width_out, dtype=bool)
-        for s, p in enumerate(pairings):
-            left[s] = p.i
-            if p.kind == "pair":
-                right[s] = p.j
-                is_pair[s] = True
-            else:
-                const[s] = 1.0 if p.kind == "true" else -1.0
-        indices = np.concatenate([left, right])
-        if np.any((indices < 0) | (indices >= width_in)):
-            raise ConfigurationError(f"pairing index outside the layer's {width_in} inputs")
-        self.left_idx = left
-        self.right_idx = right
-        self.const_vals = const
-        self.is_pair = is_pair
-        # Dense 0/1 scatter maps turn backward accumulation into matmuls.
-        scatter_l = np.zeros((self.width_out, width_in))
-        scatter_r = np.zeros((self.width_out, width_in))
-        scatter_l[np.arange(self.width_out), left] = 1.0
-        scatter_r[is_pair, right[is_pair]] = 1.0
-        self.scatter_left = scatter_l
-        self.scatter_right = scatter_r
+        for p in pairings:
+            if not (0 <= p.i < width_in and (p.j is None or p.j < width_in)):
+                raise ConfigurationError(f"pairing index outside the layer's {width_in} inputs")
+        constant = {"true": width_in, "false": width_in + 1}
+        self.left_idx = np.array([p.i for p in pairings], dtype=np.intp)
+        self.right_idx = np.array([constant.get(p.kind, p.j) for p in pairings], dtype=np.intp)
+        # Dense 0/1 scatter maps turn backward accumulation into matmuls;
+        # the constant columns are cut off, so constant slots map to zero.
+        eye = np.eye(width_in + 2)[:, :width_in]
+        self.scatter_left = eye[self.left_idx]
+        self.scatter_right = eye[self.right_idx]
 
     @classmethod
     def standard(cls, width_in: int) -> "PairingTable":
@@ -139,13 +128,17 @@ class PairingTable:
 
     def operands(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gather signed left/right operands along the last axis of a batch."""
-        left = x[..., self.left_idx]
-        right = np.where(self.is_pair, x[..., self.right_idx], self.const_vals)
-        return left, right
+        augmented = np.empty(x.shape[:-1] + (self.width_in + 2,))
+        augmented[..., :-2] = x
+        augmented[..., -2:] = (1.0, -1.0)
+        # Fancy indexing, not take: the operands come out column-major, and
+        # the selector matmul's rounding depends on that layout.
+        return augmented[..., self.left_idx], augmented[..., self.right_idx]
 
-    def scatter(self, g_left: np.ndarray, g_right: np.ndarray) -> np.ndarray:
-        """Accumulate operand gradients back onto the layer's inputs."""
-        return g_left @ self.scatter_left + g_right @ self.scatter_right
+    def scatter(self, g: np.ndarray) -> np.ndarray:
+        """Accumulate the operand gradient, which both operands of a slot
+        share, back onto the layer's inputs."""
+        return g @ self.scatter_left + g @ self.scatter_right
 
 
 @dataclass(frozen=True)
@@ -160,6 +153,9 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("hidden_width", "logic_parts", "max_pairing_slots", "seed"):
+            if type(getattr(self, name)) is not int:    # bool is not an int here
+                raise ConfigurationError(f"{name} must be an integer")
         if self.hidden_width < 2:
             raise ConfigurationError("hidden_width must be at least 2")
         if self.logic_parts < 1:
@@ -363,11 +359,10 @@ class LogicNetwork:
             # Signed output is 2 S(t) - 1 and each operand enters t as
             # (v + 1) / 2, so operand gradients carry exactly S'(t).
             g_operand = g_gate * slope
-            grads.alphas[p] = -2.0 * np.sum(g_gate * slope, axis=0)
-            table = self.pairing_tables[p]
-            g_right = g_operand * table.is_pair
-            g = table.scatter(g_operand, g_right)
+            grads.alphas[p] = -2.0 * np.sum(g_operand, axis=0)
+            # Features do not train, so part 0 has nothing to pass on.
             if p > 0:
+                g = self.pairing_tables[p].scatter(g_operand)
                 g = g * (1.0 - cache.tanh_out[p - 1] ** 2)
         return grads
 

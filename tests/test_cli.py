@@ -458,6 +458,9 @@ def _edit(path, value=_DELETE):
     pytest.param(_edit(["squash", "center"]), id="missing-squash-center"),
     pytest.param(_edit(["config", "hidden_widht"], 8), id="unknown-config-key"),
     pytest.param(_edit(["config", "hidden_width"], None), id="null-config-value"),
+    pytest.param(_edit(["config", "hidden_width"], 4.5), id="fractional-hidden-width"),
+    pytest.param(_edit(["config", "seed"], None), id="null-seed"),
+    pytest.param(_edit(["config", "seed"], True), id="boolean-seed"),
     pytest.param(_edit(["squash", "smoothness"], "sharp"), id="string-squash-value"),
     pytest.param(_edit(["pairings", 0, 0], ["pair", 0, 3]), id="pairing-index-past-width"),
     pytest.param(_edit(["alphas", 0, 0], 1.5), id="alpha-above-one"),
@@ -469,6 +472,15 @@ def test_malformed_model_file_exits_2(tmp_path, corpus, capsys, edit):
     assert main(["eval", "--model", str(model), "--data", str(data),
                  "--schema", str(schema)]) == 2
     assert "bad input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_extract_with_zero_samples_exits_2(tmp_path, capsys, mode):
+    model = saved_model(tmp_path)
+    assert main(["extract", "--model", str(model), "--samples", "0", *mode]) == 2
+    captured = capsys.readouterr()
+    assert "at least one row" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("mode", [[], ["--json"]])

@@ -1,6 +1,7 @@
 """Rule extraction: snapping, tracing, omission, faithfulness, ablation."""
 
 import copy
+import functools
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from softlogic.extraction import (
     snapped_network,
     trace_expression,
 )
-from softlogic.network import NetworkConfig, build_network
+from softlogic.network import LogicNetwork, NetworkConfig, Pairing, build_network
 from softlogic.operators import OperatorKind
 
 AND = OperatorKind.CONJUNCTION
@@ -452,6 +453,39 @@ def test_leaf_labels_cover_every_slot():
         "(age op[0.30] 0)",
         "(weight and 0)",
     ]
+
+
+def test_labels_and_trace_follow_a_loaded_nonstandard_pairing_order():
+    # Both pairing lists are shuffled with the constant slots interleaved;
+    # labels and Const nodes must follow the lists, not the standard order.
+    first = [Pairing("false", 2), Pairing("pair", 0, 2), Pairing("true", 1),
+             Pairing("pair", 1, 2), Pairing("false", 0), Pairing("true", 0),
+             Pairing("pair", 0, 1), Pairing("true", 2), Pairing("false", 1)]
+    second = [Pairing("true", 1), Pairing("pair", 0, 1), Pairing("false", 0),
+              Pairing("false", 1), Pairing("true", 0)]
+    alphas = [[1.0, 0.0, 0.5, 1.0, 0.0, 0.5, 1.0, 0.0, 0.5], [1.0, 0.0, 0.5, 1.0, 0.0]]
+    names = ["a", "b", "c"]
+    payload = build_network(3, 2, NetworkConfig(hidden_width=2, logic_parts=2),
+                            feature_names=names).to_dict()
+    payload["pairings"] = [[p.to_json() for p in first], [p.to_json() for p in second]]
+    payload["alphas"] = alphas
+    payload["selectors"] = [np.zeros((2, 9)), np.ones((1, 5))]
+    payload["selectors"][0][0, 1] = 1.0     # hidden 0 reads slot 1
+    payload["selectors"][0][1, 7] = 1.0     # hidden 1 reads slot 7
+    net = LogicNetwork.from_dict(payload)
+    kinds = {1.0: AND, 0.0: OR, 0.5: UNI}
+
+    def right_label(p):
+        return names[p.j] if p.kind == "pair" else {"true": "1", "false": "0"}[p.kind]
+
+    assert leaf_labels(net) == [f"({names[p.i]} {kinds[a].symbol} {right_label(p)})"
+                                for p, a in zip(first, alphas[0])]
+    hidden = [Leaf(1), Leaf(7)]
+    gates = [Gate(kinds[a], a, hidden[p.i],
+                  hidden[p.j] if p.kind == "pair" else Const(p.kind == "true"))
+             for p, a in zip(second, alphas[1])]
+    assert trace_expression(net) == functools.reduce(
+        lambda left, right: Gate(UNI, 0.5, left, right), gates)
 
 
 def test_describe_expression_substitutes_labels():

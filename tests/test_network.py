@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from softlogic.network import (
     ConfigurationError,
@@ -65,6 +67,57 @@ def test_pairing_table_operands_inject_signed_constants():
     # Slots: (0,1), T0, T1, F0, F1.
     assert left.tolist() == [[0.4, 0.4, -0.6, 0.4, -0.6]]
     assert right.tolist() == [[-0.6, 1.0, 1.0, -1.0, -1.0]]
+
+
+@st.composite
+def pairing_layers(draw):
+    """A width, a pairing list in any order with constants mixed in, and
+    inputs plus slot gradients with one to three leading axes."""
+    width = draw(st.integers(min_value=2, max_value=8))
+    pool = enumerate_pairings(width)
+    pairings = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3 * len(pool)))
+    lead = tuple(draw(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=3)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    x = rng.uniform(-1.0, 1.0, size=lead + (width,))
+    g = rng.normal(size=lead + (len(pairings),))
+    return width, pairings, x, g
+
+
+def scatter_reference(width, pairings, g):
+    out = np.zeros(g.shape[:-1] + (width,))
+    for s, p in enumerate(pairings):
+        out[..., p.i] += g[..., s]
+        if p.kind == "pair":    # a constant operand has no input to reach
+            out[..., p.j] += g[..., s]
+    return out
+
+
+@given(pairing_layers())
+def test_pairing_table_matches_per_slot_reference(layer):
+    width, pairings, x, g = layer
+    table = PairingTable(width, pairings)
+    left, right = table.operands(x)
+    constant = {"true": 1.0, "false": -1.0}
+    for s, p in enumerate(pairings):
+        assert np.array_equal(left[..., s], x[..., p.i])
+        expected = x[..., p.j] if p.kind == "pair" else np.full(x.shape[:-1], constant[p.kind])
+        assert np.array_equal(right[..., s], expected)
+    assert np.allclose(table.scatter(g), scatter_reference(width, pairings, g),
+                       rtol=0.0, atol=1e-12)
+    # Gradient on constant slots alone reaches only their left inputs.
+    only_constants = g * np.array([p.kind != "pair" for p in pairings])
+    assert np.allclose(table.scatter(only_constants),
+                       scatter_reference(width, pairings, only_constants),
+                       rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("pairing", [
+    Pairing("pair", 0, 3), Pairing("pair", 1, 4), Pairing("true", 3), Pairing("false", -1),
+])
+def test_pairing_table_rejects_indices_outside_its_inputs(pairing):
+    # Index 3 and 4 would read the constant columns of [x, +1, -1].
+    with pytest.raises(ConfigurationError):
+        PairingTable(3, [Pairing("pair", 0, 1), pairing])
 
 
 def test_pairing_json_round_trip():
