@@ -129,20 +129,31 @@ def canonical_form(expr: LogicExpr) -> LogicExpr:
 
 def leaf_count(expr: LogicExpr) -> int:
     """Number of Leaf and Const references in the tree."""
-    if isinstance(expr, (Leaf, Const)):
-        return 1
-    if isinstance(expr, Not):
-        return leaf_count(expr.child)
-    return leaf_count(expr.left) + leaf_count(expr.right)
+    count, stack = 0, [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (Leaf, Const)):
+            count += 1
+        elif isinstance(node, Not):
+            stack.append(node.child)
+        else:
+            stack += [node.left, node.right]
+    return count
 
 
 def gate_depth(expr: LogicExpr) -> int:
-    """Deepest nesting of Gate nodes; negation adds no depth."""
-    if isinstance(expr, (Leaf, Const)):
-        return 0
-    if isinstance(expr, Not):
-        return gate_depth(expr.child)
-    return 1 + max(gate_depth(expr.left), gate_depth(expr.right))
+    """Deepest nesting of Gate nodes; negation adds no depth.  Like
+    :func:`leaf_count`, walks an explicit stack, so deep folds never
+    exhaust the recursion limit."""
+    deepest, stack = 0, [(expr, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, Not):
+            stack.append((node.child, depth))
+        elif not isinstance(node, (Leaf, Const)):
+            deepest = max(deepest, depth + 1)
+            stack += [(node.left, depth + 1), (node.right, depth + 1)]
+    return deepest
 
 
 def evaluate_crisp(expr: LogicExpr, leaves) -> np.ndarray:

@@ -181,8 +181,12 @@ class ForwardCache:
     """Activations recorded by forward for use in backward."""
 
     version: int
-    gate_pre: list[np.ndarray]      # unit-domain gate arguments per part
-    gate_out: list[np.ndarray]      # signed gate outputs per part
+    # Unit-domain gate arguments per part, (rows, slots); a table part's
+    # are (distinct operand sums, slots), gathered per row by the flat
+    # (slots, rows) indices in gate_codes, which holds None for dense parts.
+    gate_pre: list[np.ndarray]
+    gate_codes: list[np.ndarray | None]
+    gate_out: list[np.ndarray]      # signed gate outputs per part, per row
     sel_pre: list[np.ndarray]       # selector outputs before clamping
     tanh_out: list[np.ndarray]      # remapped values between parts
     outputs: np.ndarray
@@ -285,7 +289,7 @@ class LogicNetwork:
         unchecked, for callers that normalize a whole dataset once."""
         cache = ForwardCache(
             version=self._version,
-            gate_pre=[], gate_out=[], sel_pre=[], tanh_out=[],
+            gate_pre=[], gate_codes=[], gate_out=[], sel_pre=[], tanh_out=[],
             outputs=np.empty(0),
         )
         cache.outputs = self._run_parts(rows, 0, cache)
@@ -295,22 +299,58 @@ class LogicNetwork:
                    cache: ForwardCache | None = None) -> np.ndarray:
         """Signed inputs of part ``first`` through that part and every later
         one; leading axes of ``x`` beyond the row axis pass through.
-        Activations are appended to ``cache`` when one is given."""
+        Activations are appended to ``cache`` when one is given.  Part 0
+        evaluates its gates once per distinct operand sum and gathers them
+        per row when :meth:`_gate_table` finds few distinct inputs."""
         parts = len(self.pairing_tables)
         for p in range(first, parts):
-            left, right = self.pairing_tables[p].operands(x)
-            # Gates evaluate on [0, 1]; layers exchange signed values.
-            t = (left + 1.0) / 2.0 + (right + 1.0) / 2.0 - self.alphas[p]
-            gate = 2.0 * squash(t, self.config.squash) - 1.0
+            table = self._gate_table(x) if p == 0 else None
+            if table is None:
+                left, right = self.pairing_tables[p].operands(x)
+                # Gates evaluate on [0, 1]; layers exchange signed values.
+                t = (left + 1.0) / 2.0 + (right + 1.0) / 2.0 - self.alphas[p]
+                codes = None
+            else:
+                sums, codes = table
+                t = sums[:, None] - self.alphas[p]
+            gate = _per_row(2.0 * squash(t, self.config.squash) - 1.0, codes)
             pre = gate @ self.selectors[p].T
             x = self._activate(p, pre)
             if cache is not None:
                 cache.gate_pre.append(t)
+                cache.gate_codes.append(codes)
                 cache.gate_out.append(gate)
                 cache.sel_pre.append(pre)
                 if p + 1 < parts:
                     cache.tanh_out.append(x)
         return x
+
+    def _gate_table(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """Part 0's distinct unit-domain operand sums on the 2-D input ``x``
+        and, per (slot, row), the flat index of the row's entry in a (sums,
+        slots) table; None unless ``x`` has so few distinct values ``n``
+        that ``n * (n + 2)`` operand pairs are fewer than its rows."""
+        rows = x.shape[0]
+        probe = math.isqrt(rows)
+        # A table needs n < probe; a set over probe entries rejects
+        # continuous data before the sort in np.unique.
+        if x.ndim != 2 or len(set(x.flat[:probe].tolist())) >= probe:
+            return None
+        levels, inverse = np.unique(x, return_inverse=True)
+        n = levels.size
+        if n * (n + 2) >= rows:
+            return None
+        unit = (np.concatenate([levels, (1.0, -1.0)]) + 1.0) / 2.0
+        sums, sum_idx = np.unique(unit[:n, None] + unit, return_inverse=True)
+        # Level codes per (column, row) of the augmented input [x, +1, -1];
+        # return_inverse's shape varies across numpy versions.
+        codes = np.empty((x.shape[1] + 2, rows), dtype=np.intp)
+        codes[:-2] = inverse.reshape(x.shape).T
+        codes[-2:] = [[n], [n + 1]]
+        table = self.pairing_tables[0]
+        pair = codes[table.left_idx] * (n + 2) + codes[table.right_idx]
+        slot = np.arange(table.width_out)[:, None]
+        return sums, sum_idx.reshape(-1)[pair] * table.width_out + slot
 
     def _activate(self, p: int, pre: np.ndarray) -> np.ndarray:
         """The value part ``p`` passes on: its clamped selector output,
@@ -355,7 +395,8 @@ class LogicNetwork:
             prev = cache.gate_out[p]
             grads.selectors[p] = g_pre.T @ prev
             g_gate = g_pre @ self.selectors[p]
-            slope = squash_grad(cache.gate_pre[p], self.config.squash)
+            slope = _per_row(squash_grad(cache.gate_pre[p], self.config.squash),
+                             cache.gate_codes[p])
             # Signed output is 2 S(t) - 1 and each operand enters t as
             # (v + 1) / 2, so operand gradients carry exactly S'(t).
             g_operand = g_gate * slope
@@ -481,6 +522,13 @@ class LogicNetwork:
     @classmethod
     def load(cls, path: str | Path) -> "LogicNetwork":
         return cls.from_dict(json.loads(Path(path).read_text()))
+
+
+def _per_row(values: np.ndarray, codes: np.ndarray | None) -> np.ndarray:
+    """A part's (rows, slots) gate values: a table part's are gathered as
+    (slots, rows) and transposed, so they come out column-major like dense
+    operands; the selector matmul's rounding depends on that layout."""
+    return values if codes is None else values.take(codes).T
 
 
 def _settings_from(cls, block, name: str, **given):

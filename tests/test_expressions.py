@@ -19,7 +19,7 @@ from softlogic.expressions import (
     render,
     to_dict,
 )
-from softlogic.extraction import describe_expression
+from softlogic.extraction import describe_expression, should_omit
 from softlogic.operators import OperatorKind, gate_crisp
 
 AND = OperatorKind.CONJUNCTION
@@ -224,6 +224,18 @@ def test_gate_depth_ignores_negation():
     assert gate_depth(expr) == 2
     assert gate_depth(Leaf(0)) == 0
     assert gate_depth(Not(Leaf(0))) == 0
+
+
+def test_leaf_count_and_gate_depth_of_a_fold_deeper_than_the_recursion_limit():
+    # Both used to recurse once per nesting level, so should_omit raised
+    # RecursionError on wide traces instead of omitting them.
+    expr = Leaf(0)
+    for i in range(1, 5001):
+        expr = Gate(UNI, 0.5, expr, Not(Leaf(i)))
+    assert leaf_count(expr) == 5001
+    assert gate_depth(expr) == 5000
+    assert gate_depth(Not(Gate(AND, 1.0, Leaf(0), expr))) == 5001
+    assert should_omit(expr) == (True, "too long")
 
 
 def test_canonical_form_snaps_named_and_rounds_other():

@@ -398,6 +398,109 @@ def test_copy_parameters_is_a_deep_snapshot():
     assert np.array_equal(snap[0][0], before)
 
 
+# ---------------------------------------------------------- gate tables
+
+
+def run_dense(fn, *args):
+    """``fn(*args)`` with part 0's gate table turned off."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LogicNetwork, "_gate_table", lambda self, x: None)
+        return fn(*args)
+
+
+def forward_backward(net, x, grad):
+    out, cache = net.forward_normalized(x)
+    return out, cache, net.backward(cache, grad)
+
+
+@st.composite
+def few_valued_batches(draw):
+    """A network and a batch over 2-4 levels in [-1, 1] whose row count
+    straddles the table threshold, zeros of either sign mixed in."""
+    level_count = draw(st.integers(min_value=2, max_value=4))
+    levels = draw(st.lists(
+        st.one_of(st.sampled_from([-1.0, 0.0, 1.0]),
+                  st.floats(min_value=-1.0, max_value=1.0)),
+        min_size=level_count, max_size=level_count, unique=True))
+    rows = (level_count + 1) ** 2 + draw(st.integers(min_value=-3, max_value=3))
+    features = draw(st.integers(min_value=2, max_value=5))
+    net = toy_net(feature_count=features,
+                  class_count=draw(st.sampled_from([2, 3])),
+                  logic_parts=draw(st.integers(min_value=1, max_value=3)),
+                  seed=draw(st.integers(min_value=0, max_value=2**16)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    x = np.asarray(levels)[rng.integers(level_count, size=(rows, features))]
+    x[(x == 0.0) & (rng.random(x.shape) < 0.5)] = -0.0
+    grad = rng.normal(size=(rows, net.output_width))
+    grad[rng.random(grad.shape) < 0.2] = -0.0
+    return net, x, grad
+
+
+def assert_same_bits(a, b):
+    assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@given(few_valued_batches())
+def test_gate_table_matches_dense_path_bit_for_bit(batch):
+    net, x, grad = batch
+    out, cache, grads = forward_backward(net, x, grad)
+    dense_out, dense, dense_grads = run_dense(forward_backward, net, x, grad)
+    n = np.unique(x).size
+    assert (cache.gate_codes[0] is not None) == ((n + 1) ** 2 <= x.shape[0])
+    assert all(codes is None for codes in cache.gate_codes[1:])
+    assert_same_bits(out, dense_out)
+    for p in range(len(net.pairing_tables)):
+        assert_same_bits(cache.gate_out[p], dense.gate_out[p])
+        assert cache.gate_out[p].flags.f_contiguous == dense.gate_out[p].flags.f_contiguous
+        assert_same_bits(cache.sel_pre[p], dense.sel_pre[p])
+        assert_same_bits(grads.alphas[p], dense_grads.alphas[p])
+        assert_same_bits(grads.selectors[p], dense_grads.selectors[p])
+
+
+def test_continuous_rows_keep_per_row_gate_arguments():
+    net = toy_net(feature_count=4)
+    _, cache = net.forward(np.random.default_rng(1).uniform(-1, 1, size=(64, 4)))
+    assert cache.gate_pre[0].shape == (64, net.alphas[0].size)
+    assert cache.gate_codes == [None, None]
+
+
+@pytest.mark.parametrize("rows", [16, 17, 100])
+def test_signed_binary_rows_get_a_three_sum_table(rows):
+    # Operands of +-1 inputs and the constants sum to 0, 1 or 2 on [0, 1].
+    net = toy_net(feature_count=4)
+    x = np.random.default_rng(rows).choice([-1.0, 1.0], size=(rows, 4))
+    x[0] = (-1.0, 1.0, -1.0, 1.0)
+    _, cache = net.forward(x)
+    slots = net.alphas[0].size
+    assert cache.gate_pre[0].shape == (3, slots)
+    assert cache.gate_codes[0].shape == (slots, rows)
+    assert cache.gate_out[0].shape == (rows, slots)
+    assert cache.gate_codes[1] is None
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_few_rows_stay_dense(rows):
+    net = toy_net(feature_count=4)
+    _, cache = net.forward(np.ones((rows, 4)))
+    assert cache.gate_pre[0].shape == (rows, net.alphas[0].size)
+    assert cache.gate_codes[0] is None
+
+
+def test_nan_feature_raises_the_same_error_on_either_path():
+    net = toy_net(feature_count=4)
+    x = np.random.default_rng(2).choice([-1.0, 1.0], size=(32, 4))
+    x[-1, 2] = np.nan
+    messages = []
+    for forward in (net.forward, lambda rows: run_dense(net.forward, rows)):
+        with pytest.raises(ValueError) as caught:
+            forward(x)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1] == "x must be finite"
+    # The table path was the one taken: the same batch without the NaN gets one.
+    x[-1, 2] = 1.0
+    assert net.forward(x)[1].gate_codes[0] is not None
+
+
 # ------------------------------------------------------- persistence
 
 

@@ -23,3 +23,12 @@ def traced_methods():
 def test_traced_method_is_defined_on_its_own_class(module, cls, method):
     owner = getattr(importlib.import_module(f"softlogic.{module}"), cls)
     assert method in owner.__dict__
+
+
+@pytest.mark.parametrize("kernel", ["squash", "squash_grad"])
+def test_network_calls_the_public_squash_kernels(kernel):
+    # The tracer's operators.squash.* metrics see only the public
+    # functions; a private kernel in network.py would blank them.
+    network = importlib.import_module("softlogic.network")
+    operators = importlib.import_module("softlogic.operators")
+    assert getattr(network, kernel) is getattr(operators, kernel)
