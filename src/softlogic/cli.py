@@ -221,8 +221,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
             "omitted": omit,
             "reason": reason,
             "faithfulness": faith,
-            "tree": expr_to_dict(expr),
         })
+        if args.json:
+            report[-1]["tree"] = expr_to_dict(expr)
     if args.json:
         print(json.dumps({"outputs": report, "leaf_labels": labels}, indent=2))
         return 0

@@ -315,18 +315,22 @@ def first_gate_importance(net: LogicNetwork, features: np.ndarray) -> np.ndarray
     pass gives the base outputs and its cache; zeroing column s only
     subtracts ``gate[:, s] * W0[:, s]`` from the first part's selector
     pre-activation, so that delta is applied for a chunk of slots at once
-    and the later parts run on the whole chunk in one batched pass.  The
+    and the later parts run on the whole chunk in one batched pass.  A slot
+    whose column routes nothing scores exactly 0 without a rerun.  The
     network is never modified.
     """
     base, cache = net.forward(features)
     gate, w0 = cache.gate_out[0], net.selectors[0]
     rows, slots = gate.shape
+    if rows == 0:
+        raise ValueError("first_gate_importance needs at least one row")
     widest = max([w0.shape[0]] + [t.width_out for t in net.pairing_tables[1:]])
     step = max(1, _ABLATION_CHUNK_ELEMENTS // max(1, rows * widest))
-    importance = np.empty(slots)
-    for start in range(0, slots, step):
-        cols = slice(start, start + step)
-        pre = cache.sel_pre[0][None] - gate[:, cols].T[:, :, None] * w0[:, cols].T[:, None, :]
+    importance = np.zeros(slots)
+    live = np.flatnonzero(np.any(w0 != 0.0, axis=0))
+    for start in range(0, live.size, step):
+        cols = live[start:start + step]
+        pre = cache.sel_pre[0][None] - gate.T[cols][:, :, None] * w0.T[cols][:, None, :]
         x = net._activate(0, pre)
         ablated = net._run_parts(x, 1)
         importance[cols] = np.mean(np.abs(ablated - base), axis=(1, 2))

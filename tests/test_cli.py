@@ -493,3 +493,15 @@ def test_extract_renders_a_778_gate_fold(tmp_path, capsys, mode):
     assert main(["extract", "--model", str(model), "--samples", "50", *mode]) == 0
     out = capsys.readouterr().out
     assert out.count("uni") >= 778
+
+
+def test_text_extract_never_builds_the_json_tree(tmp_path, capsys):
+    # A 1080-gate fold nests deeper than the recursion limit; text mode
+    # prints its rendering and must not convert it to a JSON tree.
+    net = build_network(45, 2, NetworkConfig(logic_parts=1))
+    net.selectors[0][:] = 1.0
+    model = saved_model(tmp_path, net=net)
+    assert main(["extract", "--model", str(model), "--samples", "20"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("output 0: omitted: too long (would read: ")
+    assert out.count("uni") >= 1079

@@ -5,6 +5,8 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softlogic.expressions import (
     Const,
@@ -422,6 +424,82 @@ def test_first_gate_importance_spans_chunks_of_the_default_budget():
     np.testing.assert_allclose(importance, per_slot_importance(net, x),
                                rtol=0, atol=1e-12)
     assert importance[PAIR] == 0.0
+
+
+def test_ablation_reruns_only_the_live_columns(monkeypatch):
+    net = build_network(3, 2, NetworkConfig(hidden_width=3, logic_parts=2, seed=4))
+    rng = np.random.default_rng(11)
+    for w in net.selectors:
+        w[:] = rng.normal(size=w.shape)
+    net.selectors[0][:, [1, 2, 5, 8]] = 0.0
+    net.selectors[0][0, 3] = 0.0        # a partly zero column stays live
+    net.bump_version()
+    x = rng.uniform(-1, 1, size=(40, 3))
+    rerun = []
+    run_parts = LogicNetwork._run_parts
+
+    def counting(self, x, first, cache=None):
+        if first == 1:
+            rerun.append(x.shape[0])
+        return run_parts(self, x, first, cache)
+
+    monkeypatch.setattr(LogicNetwork, "_run_parts", counting)
+    # 40 rows times the 9-slot second part, two slots per chunk.
+    monkeypatch.setattr(extraction, "_ABLATION_CHUNK_ELEMENTS", 40 * 9 * 2)
+    importance = first_gate_importance(net, x)
+    assert rerun == [2, 2, 1]
+    assert np.all(importance[[1, 2, 5, 8]] == 0.0)
+    net.selectors[0][:] = 0.0
+    net.bump_version()
+    rerun.clear()
+    importance = first_gate_importance(net, x)
+    assert rerun == []
+    assert np.array_equal(importance, np.zeros(9))
+    assert not np.any(np.signbit(importance))
+
+
+@st.composite
+def dead_column_nets(draw):
+    """A 3-feature network (9 first-layer slots) with random selectors,
+    some columns of the first selector zeroed, and 40 input rows."""
+    parts = draw(st.integers(min_value=1, max_value=3))
+    class_count = draw(st.sampled_from([2, 3]))
+    dead = draw(st.one_of(st.just([False] * 9), st.just([True] * 9),
+                          st.lists(st.booleans(), min_size=9, max_size=9)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    net = build_network(3, class_count, NetworkConfig(
+        hidden_width=3, logic_parts=parts, seed=parts + class_count))
+    for w in net.selectors:
+        w[:] = rng.normal(size=w.shape)
+    net.selectors[0][:, dead] = 0.0
+    net.bump_version()
+    return net, np.asarray(dead), rng.uniform(-1, 1, size=(40, 3))
+
+
+@settings(deadline=None, max_examples=60)
+@given(dead_column_nets(), st.sampled_from([200, 1440]))
+def test_live_column_ablation_matches_per_slot_reference(case, budget):
+    net, dead, x = case
+    selectors = [w.copy() for w in net.selectors]
+    version = net._version
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(extraction, "_ABLATION_CHUNK_ELEMENTS", budget)
+        importance = first_gate_importance(net, x)
+    np.testing.assert_allclose(importance, per_slot_importance(net, x),
+                               rtol=0, atol=1e-12)
+    assert np.all(importance[dead] == 0.0)
+    assert all(np.array_equal(a, b) for a, b in zip(net.selectors, selectors))
+    assert net._version == version
+
+
+def test_ablation_of_zero_rows_is_an_error():
+    net = two_part_net()
+    net.selectors[0][:] = 1.0
+    net.bump_version()
+    with pytest.raises(ValueError, match="at least one row"):
+        first_gate_importance(net, np.zeros((0, 2)))
+    with pytest.raises(ValueError, match="at least one row"):
+        dominant_first_gate(net, np.zeros((0, 2)))
 
 
 def test_dominant_first_gate_reports_slot_kind_level():
