@@ -188,11 +188,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_extract(args: argparse.Namespace) -> int:
     opt = _Options(args)
+    default = ExtractionConfig()
     config = ExtractionConfig(
-        alpha_tolerance=opt.get("alpha_tolerance", 0.15),
-        weight_keep_ratio=opt.get("keep_ratio", 0.5),
-        max_rendered_length=opt.get("max_rendered_length", 120),
-        max_terms_per_node=opt.get("max_terms", 4),
+        alpha_tolerance=opt.get("alpha_tolerance", default.alpha_tolerance),
+        weight_keep_ratio=opt.get("keep_ratio", default.weight_keep_ratio),
+        max_rendered_length=opt.get("max_rendered_length", default.max_rendered_length),
+        max_terms_per_node=opt.get("max_terms", default.max_terms_per_node),
     )
     seed, samples = opt.get("seed", 0), opt.get("samples", 2000)
     opt.check_all_read()

@@ -6,14 +6,17 @@ keep only inputs whose weight passes ``weight_keep_ratio`` of the row
 maximum; kept inputs combine under the aggregative operator, which is
 exactly what a clamped ±1-weight sum computes, and negative weights wrap
 their operand in negation.  Gate slots in later logic parts become
-two-operand gate nodes; the recursion bottoms out at the first pairing
-layer, whose slot indices are the expression's leaves.
+two-operand gate nodes; the walk bottoms out at the first pairing layer,
+whose slot indices are the expression's leaves.  Each selector row is
+traced once: rows reached along several paths share one subtree, so the
+expression is a DAG of frozen nodes.
 
 Faithfulness compares the expression's crisp decisions with the full
-network's.  The crisp walk mirrors the network's fixed plumbing, applying
-the between-part tanh remap to non-constant gate operands; leaving the
-remap out would disagree with the network on a wide input band for
-conjunctive and disjunctive gates, not just near decision boundaries.
+network's.  The walk that builds the expression also computes its crisp
+values.  It mirrors the network's fixed plumbing, applying the
+between-part tanh remap to non-constant gate operands; leaving the remap
+out would disagree with the network on a wide input band for conjunctive
+and disjunctive gates, not just near decision boundaries.
 """
 
 from __future__ import annotations
@@ -99,40 +102,6 @@ def snapped_network(net: LogicNetwork,
     return clone
 
 
-# -- annotated trace --------------------------------------------------------
-# The private tree keeps enough structure to evaluate an expression the way
-# the network computes it (folds are selector sums, gates sit behind the
-# tanh remap); the public LogicExpr is derived from it.
-
-
-@dataclass(frozen=True)
-class _ALeaf:
-    slot: int
-
-
-@dataclass(frozen=True)
-class _AConst:
-    truth: bool
-
-
-@dataclass(frozen=True)
-class _ANot:
-    child: object
-
-
-@dataclass(frozen=True)
-class _AFold:
-    children: tuple
-
-
-@dataclass(frozen=True)
-class _AGate:
-    kind: OperatorKind
-    alpha: float
-    left: object
-    right: object
-
-
 def _kept_indices(row: np.ndarray, keep_ratio: float) -> np.ndarray:
     """Slots passing the keep rule, strongest weight first, ties by index."""
     strength = np.abs(row)
@@ -143,52 +112,63 @@ def _kept_indices(row: np.ndarray, keep_ratio: float) -> np.ndarray:
     return idx[np.lexsort((idx, -strength[idx]))]
 
 
-def _trace_annotated(net: LogicNetwork, config: ExtractionConfig,
-                     output_index: int):
-    parts = len(net.pairing_tables)
+class _Trace:
+    """One backward walk over the selectors.  ``selector(part, row)`` is
+    the row's expression and its crisp values on ``leaves01`` (rows,
+    first-layer slots), computed as the network computes them.  Each row is
+    traced once; every path reaching it shares its subtree and values."""
 
-    def selector_trace(part: int, row_index: int):
-        row = net.selectors[part][row_index]
-        kept = _kept_indices(row, config.weight_keep_ratio)
-        if kept.size == 0:
-            return _AConst(True)
-        children = []
-        for slot in kept:
-            node = slot_trace(part, int(slot))
-            if row[slot] < 0:
-                node = _ANot(node)
-            children.append(node)
-        if len(children) == 1:
-            return children[0]
-        return _AFold(tuple(children))
+    def __init__(self, net: LogicNetwork, config: ExtractionConfig,
+                 leaves01: np.ndarray):
+        self.net, self.config, self.leaves01 = net, config, leaves01
+        self.memo: dict[tuple[int, int], tuple[LogicExpr, np.ndarray]] = {}
 
-    def slot_trace(part: int, slot: int):
+    def output(self, index: int) -> tuple[LogicExpr, np.ndarray]:
+        if not (0 <= index < self.net.output_width):
+            raise ValueError(f"output_index {index} outside {self.net.output_width} outputs")
+        return self.selector(len(self.net.selectors) - 1, index)
+
+    def selector(self, part: int, row_index: int) -> tuple[LogicExpr, np.ndarray]:
+        key = (part, row_index)
+        if key not in self.memo:
+            row = self.net.selectors[part][row_index]
+            kept = _kept_indices(row, self.config.weight_keep_ratio)
+            expr, value = Const(True), np.ones(self.leaves01.shape[0])
+            for n, slot in enumerate(kept):
+                node, v = self.slot(part, int(slot))
+                if row[slot] < 0:
+                    node, v = Not(node), 1.0 - v
+                if n == 0:
+                    expr, value = node, v
+                else:
+                    expr = Gate(OperatorKind.AGGREGATIVE, 0.5, expr, node)
+                    value = gate_crisp(value, v, 0.5)
+            self.memo[key] = expr, value
+        return self.memo[key]
+
+    def operand(self, part: int, index: int) -> tuple[LogicExpr, np.ndarray]:
+        """A gate operand in ``part``: a row of the previous selector behind
+        the between-part tanh remap (on [0, 1] values), or a constant of the
+        augmented input."""
+        width = self.net.pairing_tables[part].width_in
+        if index >= width:
+            truth = index == width
+            return Const(truth), np.full(self.leaves01.shape[0], float(truth))
+        expr, value = self.selector(part - 1, index)
+        if isinstance(expr, Const):
+            return expr, value
+        return expr, (np.tanh(2.0 * value - 1.0) + 1.0) / 2.0
+
+    def slot(self, part: int, slot: int) -> tuple[LogicExpr, np.ndarray]:
         if part == 0:
-            return _ALeaf(slot)
-        table = net.pairing_tables[part]
-        alpha = float(net.alphas[part][slot])
-        kind = classify_alpha(alpha, config.alpha_tolerance)
-        left = selector_trace(part - 1, int(table.left_idx[slot]))
-        j = int(table.right_idx[slot])
-        right = selector_trace(part - 1, j) if j < table.width_in else _AConst(j == table.width_in)
-        return _AGate(kind, alpha, left, right)
-
-    return selector_trace(parts - 1, output_index)
-
-
-def _derive(node) -> LogicExpr:
-    if isinstance(node, _ALeaf):
-        return Leaf(node.slot)
-    if isinstance(node, _AConst):
-        return Const(node.truth)
-    if isinstance(node, _ANot):
-        return Not(_derive(node.child))
-    if isinstance(node, _AFold):
-        expr = _derive(node.children[0])
-        for child in node.children[1:]:
-            expr = Gate(OperatorKind.AGGREGATIVE, 0.5, expr, _derive(child))
-        return expr
-    return Gate(node.kind, node.alpha, _derive(node.left), _derive(node.right))
+            return Leaf(slot), self.leaves01[:, slot]
+        table = self.net.pairing_tables[part]
+        alpha = float(self.net.alphas[part][slot])
+        kind = classify_alpha(alpha, self.config.alpha_tolerance)
+        left, lv = self.operand(part, int(table.left_idx[slot]))
+        right, rv = self.operand(part, int(table.right_idx[slot]))
+        level = alpha if kind.canonical_alpha is None else kind.canonical_alpha
+        return Gate(kind, alpha, left, right), gate_crisp(lv, rv, level)
 
 
 def _same_expr(a: LogicExpr, b: LogicExpr) -> bool:
@@ -211,38 +191,6 @@ def _same_expr(a: LogicExpr, b: LogicExpr) -> bool:
     return True
 
 
-def _gate_eval_alpha(kind: OperatorKind, alpha: float) -> float:
-    canonical = kind.canonical_alpha
-    return canonical if canonical is not None else alpha
-
-
-def _tanh_unit(values: np.ndarray) -> np.ndarray:
-    """The between-part remap expressed on [0, 1] values."""
-    return (np.tanh(2.0 * values - 1.0) + 1.0) / 2.0
-
-
-def _eval_annotated(node, leaves01: np.ndarray) -> np.ndarray:
-    rows = leaves01.shape[0]
-    if isinstance(node, _ALeaf):
-        return leaves01[:, node.slot]
-    if isinstance(node, _AConst):
-        return np.full(rows, 1.0 if node.truth else 0.0)
-    if isinstance(node, _ANot):
-        return 1.0 - _eval_annotated(node.child, leaves01)
-    if isinstance(node, _AFold):
-        value = _eval_annotated(node.children[0], leaves01)
-        for child in node.children[1:]:
-            value = gate_crisp(value, _eval_annotated(child, leaves01), 0.5)
-        return value
-    left = _eval_annotated(node.left, leaves01)
-    right = _eval_annotated(node.right, leaves01)
-    if not isinstance(node.left, _AConst):
-        left = _tanh_unit(left)
-    if not isinstance(node.right, _AConst):
-        right = _tanh_unit(right)
-    return gate_crisp(left, right, _gate_eval_alpha(node.kind, node.alpha))
-
-
 def trace_expression(net: LogicNetwork,
                      config: ExtractionConfig = ExtractionConfig(),
                      output_index: int = 0) -> LogicExpr:
@@ -251,11 +199,8 @@ def trace_expression(net: LogicNetwork,
     Leaves index slots of the first pairing layer; the gate a leaf stands
     for can be looked up with :func:`leaf_labels`.
     """
-    if not (0 <= output_index < net.output_width):
-        raise ValueError(
-            f"output_index {output_index} outside {net.output_width} outputs"
-        )
-    return _derive(_trace_annotated(net, config, output_index))
+    leaves01 = np.zeros((0, net.pairing_tables[0].width_out))
+    return _Trace(net, config, leaves01).output(output_index)[0]
 
 
 def should_omit(expr: LogicExpr,
@@ -283,20 +228,18 @@ def faithfulness(net: LogicNetwork, expr: LogicExpr, features: np.ndarray,
     """Agreement rate between the expression's crisp decision and the
     network's decision on the given rows.
 
-    Expressions traced from this network are evaluated through the
-    annotated structure (selector folds and the between-part remap);
-    arbitrary expressions fall back to plain crisp evaluation on the
-    first-layer gate activations.
+    Expressions traced from this network are evaluated as the trace walk
+    computes them (selector folds and the between-part remap); arbitrary
+    expressions fall back to plain crisp evaluation on the first-layer
+    gate activations.
     """
     arr = np.asarray(features, dtype=float)
     outputs, cache = net.forward(arr)
     if len(outputs) == 0:
         raise ValueError("faithfulness needs at least one row")
     leaves01 = (cache.gate_out[0] + 1.0) / 2.0
-    annotated = _trace_annotated(net, config, output_index)
-    if _same_expr(_derive(annotated), expr):
-        values = _eval_annotated(annotated, leaves01)
-    else:
+    traced, values = _Trace(net, config, leaves01).output(output_index)
+    if not _same_expr(traced, expr):
         values = evaluate_crisp(expr, leaves01)
     expr_positive = values >= 0.5
     decisions = net.decide(outputs)

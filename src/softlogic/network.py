@@ -488,7 +488,7 @@ class LogicNetwork:
         return net
 
     def validate(self) -> None:
-        """Cross-check widths of pairings, gates and selectors."""
+        """Cross-check widths of pairings, gates, selectors, bounds and names."""
         width = self.feature_count
         if not (len(self.pairing_tables) == len(self.alphas) == len(self.selectors)):
             raise ConfigurationError("layer lists disagree in length")
@@ -515,6 +515,12 @@ class LogicNetwork:
             raise ConfigurationError("normalization bounds width mismatch")
         if not np.all(self.norm_low <= self.norm_high):
             raise ConfigurationError("normalization low bound exceeds high")
+        for key, count in (("feature_names", self.feature_count),
+                           ("label_names", self.class_count)):
+            names = getattr(self, key)
+            if names is not None and not (isinstance(names, list) and len(names) == count
+                                          and all(isinstance(n, str) for n in names)):
+                raise ConfigurationError(f"{key} must be null or a list of {count} strings")
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(serialize_model(self))

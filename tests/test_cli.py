@@ -465,6 +465,9 @@ def _edit(path, value=_DELETE):
     pytest.param(_edit(["pairings", 0, 0], ["pair", 0, 3]), id="pairing-index-past-width"),
     pytest.param(_edit(["alphas", 0, 0], 1.5), id="alpha-above-one"),
     pytest.param(_edit(["normalization", "low", 0], 2.0), id="low-above-high"),
+    pytest.param(_edit(["feature_names"], ["a"]), id="short-feature-names"),
+    pytest.param(_edit(["feature_names"], 5), id="feature-names-not-a-list"),
+    pytest.param(_edit(["label_names"], ["0", "1", "2"]), id="label-names-too-long"),
 ])
 def test_malformed_model_file_exits_2(tmp_path, corpus, capsys, edit):
     data, schema = corpus

@@ -2,6 +2,8 @@
 
 import copy
 import functools
+import gc
+import json
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from softlogic.expressions import (
     canonical_form,
     parse,
     render,
+    to_dict,
 )
 from softlogic import extraction
 from softlogic.extraction import (
@@ -31,7 +34,7 @@ from softlogic.extraction import (
     trace_expression,
 )
 from softlogic.network import LogicNetwork, NetworkConfig, Pairing, build_network
-from softlogic.operators import OperatorKind
+from softlogic.operators import OperatorKind, classify_alpha, gate_crisp
 
 AND = OperatorKind.CONJUNCTION
 OR = OperatorKind.DISJUNCTION
@@ -200,6 +203,16 @@ def test_trace_validates_output_index():
         trace_expression(net, output_index=1)
 
 
+@pytest.mark.parametrize("output_index", [-1, 1])
+def test_faithfulness_validates_output_index(output_index):
+    # -1 used to score the last selector row, 1 to raise a bare IndexError.
+    net = build_network(3, 2, NetworkConfig(hidden_width=2))
+    x = np.random.default_rng(0).uniform(-1, 1, size=(20, 3))
+    expr = trace_expression(net)
+    with pytest.raises(ValueError, match="output_index .* outside 1 outputs"):
+        faithfulness(net, expr, x, output_index=output_index)
+
+
 def test_trace_multiclass_outputs_differ():
     net = build_network(2, 3, NetworkConfig(hidden_width=2, logic_parts=1,
                                             seed=0))
@@ -223,6 +236,148 @@ def test_traced_expression_round_trips_through_text():
     net.bump_version()
     expr = canonical_form(trace_expression(net))
     assert parse(render(expr)) == expr
+
+
+def reference_trace(net, config, leaves01, output_index, reached=None):
+    """Per-path reference walk: every path re-traces the selector rows it
+    reaches, building the expression and its crisp values with the
+    network's plumbing (selector folds, tanh remap of non-constant gate
+    operands, canonical level of named gates).  ``reached`` collects the
+    (part, row) pairs visited."""
+    rows = leaves01.shape[0]
+
+    def row_trace(part, r):
+        if reached is not None:
+            reached.append((part, r))
+        row = net.selectors[part][r]
+        strength = np.abs(row)
+        top = strength.max()
+        if top <= 0.0:
+            return Const(True), np.full(rows, 1.0)
+        kept = sorted(np.flatnonzero(strength >= config.weight_keep_ratio * top),
+                      key=lambda s: (-strength[s], s))
+        terms = []
+        for slot in kept:
+            expr, value = slot_trace(part, int(slot))
+            terms.append((Not(expr), 1.0 - value) if row[slot] < 0 else (expr, value))
+        expr, value = terms[0]
+        for term, v in terms[1:]:
+            expr, value = Gate(UNI, 0.5, expr, term), gate_crisp(value, v, 0.5)
+        return expr, value
+
+    def operand(part, index):
+        width = net.pairing_tables[part].width_in
+        if index >= width:
+            return Const(index == width), np.full(rows, 1.0 if index == width else 0.0)
+        expr, value = row_trace(part - 1, index)
+        if isinstance(expr, Const):
+            return expr, value
+        return expr, (np.tanh(2.0 * value - 1.0) + 1.0) / 2.0
+
+    def slot_trace(part, slot):
+        if part == 0:
+            return Leaf(slot), leaves01[:, slot]
+        table = net.pairing_tables[part]
+        alpha = float(net.alphas[part][slot])
+        kind = classify_alpha(alpha, config.alpha_tolerance)
+        left, lv = operand(part, int(table.left_idx[slot]))
+        right, rv = operand(part, int(table.right_idx[slot]))
+        level = alpha if kind.canonical_alpha is None else kind.canonical_alpha
+        return Gate(kind, alpha, left, right), gate_crisp(lv, rv, level)
+
+    return row_trace(len(net.selectors) - 1, output_index)
+
+
+@st.composite
+def traced_nets(draw):
+    """A 1-3 part network with random selectors holding zeros, empty rows
+    and negative weights, levels snapped to named gates or left unnamed,
+    a keep ratio and 30 input rows."""
+    parts = draw(st.integers(min_value=1, max_value=3))
+    class_count = draw(st.sampled_from([2, 3]))
+    features = draw(st.integers(min_value=2, max_value=3))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    net = build_network(features, class_count, NetworkConfig(
+        hidden_width=draw(st.integers(min_value=2, max_value=3)),
+        logic_parts=parts, seed=parts))
+    for w in net.selectors:
+        w[:] = rng.normal(size=w.shape)
+        w[rng.random(w.shape) < 0.3] = 0.0
+        w[rng.random(w.shape[0]) < 0.2] = 0.0
+    for a in net.alphas:
+        a[:] = rng.choice([0.0, 0.5, 1.0, 0.3, 0.9], size=a.shape)
+    net.bump_version()
+    config = ExtractionConfig(weight_keep_ratio=draw(st.sampled_from([0.3, 0.5, 1.0])))
+    return net, config, rng.uniform(-1.2, 1.2, size=(30, features))
+
+
+@settings(deadline=None, max_examples=80)
+@given(traced_nets())
+def test_trace_and_faithfulness_match_the_per_path_reference(case):
+    net, config, x = case
+    outputs, cache = net.forward(x)
+    leaves01 = (cache.gate_out[0] + 1.0) / 2.0
+    decisions = net.decide(outputs)
+    for k in range(net.output_width):
+        expected, values = reference_trace(net, config, leaves01, k)
+        expr = trace_expression(net, config, k)
+        assert render(expr) == render(expected)
+        assert json.dumps(to_dict(expr)) == json.dumps(to_dict(expected))
+        positive = decisions == (1 if net.class_count == 2 else k)
+        agreement = float(np.mean((values >= 0.5) == positive))
+        assert faithfulness(net, expr, x, config, k).hex() == agreement.hex()
+
+
+def test_trace_visits_each_selector_row_once(monkeypatch):
+    net = build_network(3, 2, NetworkConfig(hidden_width=3, logic_parts=3, seed=1))
+    rng = np.random.default_rng(5)
+    for w in net.selectors:
+        w[:] = rng.normal(size=w.shape)
+    net.bump_version()
+    reached = []
+    reference_trace(net, ExtractionConfig(), np.zeros((0, 9)), 0, reached)
+    assert len(set(reached)) < len(reached)     # some rows sit on several paths
+    calls = []
+    kept_indices = extraction._kept_indices
+
+    def counting(row, keep_ratio):
+        calls.append(row)
+        return kept_indices(row, keep_ratio)
+
+    monkeypatch.setattr(extraction, "_kept_indices", counting)
+    trace_expression(net)
+    assert len(calls) == len(set(reached))
+    calls.clear()
+    faithfulness(net, trace_expression(net), rng.uniform(-1, 1, size=(10, 3)))
+    assert len(calls) == 2 * len(set(reached))
+
+
+def test_two_paths_to_one_row_share_its_subtree():
+    net = two_part_net()
+    net.selectors[0][0, PAIR] = 1.0
+    net.selectors[0][1, T0] = -1.0
+    # Part-2 slots 0 (h0, h1) and 1 (h0, true) both read hidden row 0.
+    net.selectors[1][0, 0] = 1.0
+    net.selectors[1][0, 1] = 1.0
+    net.bump_version()
+    expr = trace_expression(net)
+    assert expr.left.left == Leaf(PAIR)
+    assert expr.left.left is expr.right.left
+
+
+def test_trace_and_faithfulness_leave_no_reference_cycles():
+    # A cycle would keep the walk's leaf values alive until the cyclic
+    # collector runs, which raises peak memory on large inputs.
+    net = build_network(4, 3, NetworkConfig(hidden_width=3, logic_parts=3))
+    x = np.random.default_rng(7).uniform(-1, 1, size=(50, 4))
+    gc.collect()
+    gc.disable()
+    try:
+        expr = trace_expression(net, output_index=1)
+        faithfulness(net, expr, x, output_index=1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ------------------------------------------------------------- omission
