@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from . import benchmark as bench
 from .data import load_csv, load_schema, relabel
-from .expressions import render, to_dict as expr_to_dict
+from .expressions import gate_depth, render, to_dict as expr_to_dict
 from .extraction import (
     ExtractionConfig,
     describe_expression,
@@ -210,9 +210,10 @@ def cmd_extract(args: argparse.Namespace) -> int:
             net.norm_low, net.norm_high, size=(samples, net.feature_count)
         )
     labels = leaf_labels(net, config)
-    report = []
+    report, exprs = [], []
     for index in range(net.output_width):
         expr = trace_expression(net, config, index)
+        exprs.append(expr)
         omit, reason = should_omit(expr, config)
         faith = faithfulness(net, expr, features, config, index)
         report.append({
@@ -226,7 +227,17 @@ def cmd_extract(args: argparse.Namespace) -> int:
         if args.json:
             report[-1]["tree"] = expr_to_dict(expr)
     if args.json:
-        print(json.dumps({"outputs": report, "leaf_labels": labels}, indent=2))
+        try:
+            # The indenting encoder is pure Python and recurses once per level.
+            text = json.dumps({"outputs": report, "leaf_labels": labels}, indent=2)
+        except RecursionError:
+            depths = [gate_depth(expr) for expr in exprs]
+            index = depths.index(max(depths))
+            raise ValueError(
+                f"output {index}: its tree nests {depths[index]} gates deep, too deep to"
+                " encode as JSON; run extract without --json for the text form"
+            ) from None
+        print(text)
         return 0
     for entry in report:
         text = entry["named"] if args.leaf_names else entry["expression"]

@@ -4,7 +4,10 @@ Expressions are what rule extraction produces and what synthetic
 benchmark labels are generated from.  Leaves are integer references whose
 meaning depends on context: raw feature indices for synthetic data
 generation, first pairing-layer slot indices for traced network
-expressions.
+expressions.  Traced expressions are DAGs whose subtrees are shared along
+many paths; every consumer here walks through :func:`_fold`, which visits
+each distinct node once with an explicit stack, so cost grows with the
+distinct nodes, not the expanded tree, and no depth exhausts the stack.
 """
 
 from __future__ import annotations
@@ -75,6 +78,37 @@ class Not:
 LogicExpr = Union[Leaf, Const, Gate, Not]
 
 
+def _fold(expr: LogicExpr, visit):
+    """``visit(node, child_values)`` on every distinct node, children first,
+    left before right; returns the root's value.
+
+    Nodes are memoized by identity, so a subtree shared along several paths
+    is visited once, and the walk keeps an explicit stack, so no nesting
+    depth exhausts the recursion limit.  This is the one tree walk every
+    consumer of a :data:`LogicExpr` is written over.
+    """
+    values: dict[int, object] = {}
+    stack: list = [(expr, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if id(node) in values:
+            continue
+        if isinstance(node, Gate):
+            children = (node.left, node.right)
+        elif isinstance(node, Not):
+            children = (node.child,)
+        elif isinstance(node, (Leaf, Const)):
+            children = ()
+        else:
+            raise TypeError(f"not a LogicExpr: {node!r}")
+        if expanded:
+            values[id(node)] = visit(node, [values[id(c)] for c in children])
+        else:
+            stack.append((node, True))
+            stack += [(c, False) for c in reversed(children)]
+    return values[id(expr)]
+
+
 def render(expr: LogicExpr) -> str:
     """Deterministic infix rendering.
 
@@ -87,73 +121,43 @@ def render(expr: LogicExpr) -> str:
 
 
 def _render(expr: LogicExpr, leaf_text) -> str:
-    """:func:`render` with ``leaf_text(slot)`` as the text of each leaf.
-
-    Walks the tree with an explicit stack, so traces of wide models render
-    however deeply their gates nest.
-    """
-    out: list[str] = []
-    stack: list = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, str):
-            out.append(node)
-        elif isinstance(node, Leaf):
-            out.append(leaf_text(node.slot))
-        elif isinstance(node, Const):
-            out.append("1" if node.truth else "0")
-        elif isinstance(node, Not):
-            stack += [")", node.child, "1-("]
-        elif isinstance(node, Gate):
-            for item in (node.right, f" {node.kind.token(node.alpha)} ", node.left):
-                # Leaves and constants already read as atoms; composites get parens.
-                stack += [")", item, "("] if isinstance(item, (Gate, Not)) else [item]
-        else:
-            raise TypeError(f"not a LogicExpr: {node!r}")
-    return "".join(out)
+    """:func:`render` with ``leaf_text(slot)`` as the text of each leaf."""
+    def visit(node, texts):
+        if isinstance(node, Leaf):
+            return leaf_text(node.slot)
+        if isinstance(node, Const):
+            return "1" if node.truth else "0"
+        if isinstance(node, Not):
+            return f"1-({texts[0]})"
+        # Leaves and constants already read as atoms; composites get parens.
+        left, right = (f"({text})" if isinstance(child, (Gate, Not)) else text
+                       for child, text in zip((node.left, node.right), texts))
+        return f"{left} {node.kind.token(node.alpha)} {right}"
+    return _fold(expr, visit)
 
 
 def canonical_form(expr: LogicExpr) -> LogicExpr:
     """Expression with every named gate's alpha snapped to its canonical
     value and OTHER alphas rounded to two decimals, mirroring what the
     rendered text preserves."""
-    if isinstance(expr, (Leaf, Const)):
-        return expr
-    if isinstance(expr, Not):
-        return Not(canonical_form(expr.child))
-    alpha = expr.kind.canonical_alpha
-    if alpha is None:
-        alpha = round(expr.alpha, 2)
-    return Gate(expr.kind, alpha, canonical_form(expr.left), canonical_form(expr.right))
+    def visit(node, children):
+        if isinstance(node, Not):
+            return Not(*children)
+        if isinstance(node, Gate):
+            alpha = node.kind.canonical_alpha
+            return Gate(node.kind, round(node.alpha, 2) if alpha is None else alpha, *children)
+        return node
+    return _fold(expr, visit)
 
 
 def leaf_count(expr: LogicExpr) -> int:
-    """Number of Leaf and Const references in the tree."""
-    count, stack = 0, [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (Leaf, Const)):
-            count += 1
-        elif isinstance(node, Not):
-            stack.append(node.child)
-        else:
-            stack += [node.left, node.right]
-    return count
+    """Number of Leaf and Const references in the expanded tree."""
+    return _fold(expr, lambda node, counts: sum(counts) if counts else 1)
 
 
 def gate_depth(expr: LogicExpr) -> int:
-    """Deepest nesting of Gate nodes; negation adds no depth.  Like
-    :func:`leaf_count`, walks an explicit stack, so deep folds never
-    exhaust the recursion limit."""
-    deepest, stack = 0, [(expr, 0)]
-    while stack:
-        node, depth = stack.pop()
-        if isinstance(node, Not):
-            stack.append((node.child, depth))
-        elif not isinstance(node, (Leaf, Const)):
-            deepest = max(deepest, depth + 1)
-            stack += [(node.left, depth + 1), (node.right, depth + 1)]
-    return deepest
+    """Deepest nesting of Gate nodes; negation adds no depth."""
+    return _fold(expr, lambda node, depths: max(depths, default=0) + isinstance(node, Gate))
 
 
 def evaluate_crisp(expr: LogicExpr, leaves) -> np.ndarray:
@@ -167,20 +171,18 @@ def evaluate_crisp(expr: LogicExpr, leaves) -> np.ndarray:
     if arr.ndim == 1:
         arr = arr[None, :]
 
-    def rec(node: LogicExpr) -> np.ndarray:
+    def visit(node, values):
         if isinstance(node, Leaf):
             if node.slot >= arr.shape[1]:
-                raise ValueError(
-                    f"leaf slot {node.slot} outside {arr.shape[1]} columns"
-                )
+                raise ValueError(f"leaf slot {node.slot} outside {arr.shape[1]} columns")
             return arr[:, node.slot]
         if isinstance(node, Const):
             return np.full(arr.shape[0], 1.0 if node.truth else 0.0)
         if isinstance(node, Not):
-            return 1.0 - rec(node.child)
-        return gate_crisp(rec(node.left), rec(node.right), node.alpha)
+            return 1.0 - values[0]
+        return gate_crisp(*values, node.alpha)
 
-    return rec(expr)
+    return _fold(expr, visit)
 
 
 class _Parser:
@@ -267,19 +269,18 @@ def parse(text: str) -> LogicExpr:
 
 
 def to_dict(expr: LogicExpr) -> dict:
-    """JSON-ready tree; inverse of :func:`from_dict`."""
-    if isinstance(expr, Leaf):
-        return {"leaf": expr.slot}
-    if isinstance(expr, Const):
-        return {"const": expr.truth}
-    if isinstance(expr, Not):
-        return {"not": to_dict(expr.child)}
-    return {
-        "op": expr.kind.symbol,
-        "alpha": expr.alpha,
-        "left": to_dict(expr.left),
-        "right": to_dict(expr.right),
-    }
+    """JSON-ready tree; inverse of :func:`from_dict`.  A shared subtree
+    becomes one dict referenced from each of its parents."""
+    def visit(node, children):
+        if isinstance(node, Leaf):
+            return {"leaf": node.slot}
+        if isinstance(node, Const):
+            return {"const": node.truth}
+        if isinstance(node, Not):
+            return {"not": children[0]}
+        return {"op": node.kind.symbol, "alpha": node.alpha,
+                "left": children[0], "right": children[1]}
+    return _fold(expr, visit)
 
 
 def from_dict(data: dict) -> LogicExpr:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import (
-    Const, Gate, Leaf, LogicExpr, Not, _render, evaluate_crisp, leaf_count, render,
+    Const, Gate, Leaf, LogicExpr, Not, _fold, _render, evaluate_crisp, leaf_count, render,
 )
 from .network import LogicNetwork
 from .operators import OperatorKind, classify_alpha, gate_crisp
@@ -173,22 +173,20 @@ class _Trace:
 
 def _same_expr(a: LogicExpr, b: LogicExpr) -> bool:
     """Structural equality of two expressions, as dataclass ``==`` decides
-    it, with an explicit stack: traces of wide models nest too deeply for
-    the recursive comparison."""
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if type(x) is not type(y):
-            return False
-        if isinstance(x, Gate):
-            if x.kind != y.kind or x.alpha != y.alpha:
-                return False
-            stack += [(x.left, y.left), (x.right, y.right)]
-        elif isinstance(x, Not):
-            stack.append((x.child, y.child))
-        elif x != y:
-            return False
-    return True
+    it, by hash-consing: equal subtrees get equal ids from one table, so
+    each distinct node of either expression is visited once."""
+    ids: dict = {}
+
+    def visit(node, children):
+        if isinstance(node, Gate):
+            key = (type(node), node.kind, node.alpha, *children)
+        elif isinstance(node, Not):
+            key = (type(node), *children)
+        else:    # leaves and constants are hashable values themselves
+            key = node
+        return ids.setdefault(key, len(ids))
+
+    return _fold(a, visit) == _fold(b, visit)
 
 
 def trace_expression(net: LogicNetwork,

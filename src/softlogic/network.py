@@ -84,9 +84,13 @@ class Pairing:
 
     @staticmethod
     def from_json(item: list) -> "Pairing":
-        if item[0] == "pair":
-            return Pairing("pair", int(item[1]), int(item[2]))
-        return Pairing(item[0], int(item[1]))
+        """Inverse of :meth:`to_json`; an entry of another length or with a
+        non-integer index is rejected, not coerced."""
+        kind = item[0] if isinstance(item, list) and item else None
+        if (kind not in ("pair", "true", "false") or len(item) != (3 if kind == "pair" else 2)
+                or not all(type(index) is int for index in item[1:])):
+            raise ConfigurationError(f"malformed pairing {json.dumps(item)}")
+        return Pairing(*item)
 
 
 def enumerate_pairings(width: int) -> list[Pairing]:
@@ -504,6 +508,8 @@ class LogicNetwork:
                 raise ConfigurationError(f"part {p}: alphas must lie in [0, 1]")
             if self.selectors[p].shape[1] != table.width_out:
                 raise ConfigurationError(f"part {p}: selector width mismatch")
+            if not np.all(np.isfinite(self.selectors[p])):
+                raise ConfigurationError(f"part {p}: selector weights must be finite")
             width = self.selectors[p].shape[0]
         if width != self.output_width:
             raise ConfigurationError(
@@ -513,6 +519,8 @@ class LogicNetwork:
             self.norm_high.shape != (self.feature_count,)
         ):
             raise ConfigurationError("normalization bounds width mismatch")
+        if not (np.all(np.isfinite(self.norm_low)) and np.all(np.isfinite(self.norm_high))):
+            raise ConfigurationError("normalization bounds must be finite")
         if not np.all(self.norm_low <= self.norm_high):
             raise ConfigurationError("normalization low bound exceeds high")
         for key, count in (("feature_names", self.feature_count),

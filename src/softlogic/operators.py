@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "OperatorKind",
@@ -125,6 +124,9 @@ def squash_grad(x, params: SquashParams = SquashParams()):
     Nonnegative everywhere, close to 1 inside the ramp and decaying to 0
     outside it.
     """
+    # Imported here, not at module level: scipy takes most of the package's
+    # import time, and only training needs this derivative.
+    from scipy.special import expit
     arr = np.asarray(x, dtype=float)
     _check_finite(arr, "x")
     a, lam, beta = params.center, params.ramp_width, params.smoothness

@@ -468,6 +468,13 @@ def _edit(path, value=_DELETE):
     pytest.param(_edit(["feature_names"], ["a"]), id="short-feature-names"),
     pytest.param(_edit(["feature_names"], 5), id="feature-names-not-a-list"),
     pytest.param(_edit(["label_names"], ["0", "1", "2"]), id="label-names-too-long"),
+    pytest.param(_edit(["selectors", -1, 0, 0], float("nan")), id="nan-selector"),
+    pytest.param(_edit(["selectors", -1, 0, 0], float("inf")), id="inf-selector"),
+    pytest.param(_edit(["normalization", "high", 0], float("inf")), id="inf-normalization-bound"),
+    pytest.param(_edit(["pairings", 0, 0], ["pair", 0.7, 1]), id="fractional-pairing-index"),
+    pytest.param(_edit(["pairings", 0, 0], ["pair", True, 2]), id="boolean-pairing-index"),
+    pytest.param(_edit(["pairings", 0, 0], ["pair", 0, 1, 5]), id="pairing-with-extra-item"),
+    pytest.param(_edit(["pairings", 0, 3], ["true", 0, 1]), id="constant-pairing-with-extra-item"),
 ])
 def test_malformed_model_file_exits_2(tmp_path, corpus, capsys, edit):
     data, schema = corpus
@@ -496,6 +503,20 @@ def test_extract_renders_a_778_gate_fold(tmp_path, capsys, mode):
     assert main(["extract", "--model", str(model), "--samples", "50", *mode]) == 0
     out = capsys.readouterr().out
     assert out.count("uni") >= 778
+
+
+def test_json_extract_of_a_tree_too_deep_to_encode_exits_2(tmp_path, capsys):
+    # The indenting JSON encoder recurses once per nesting level, so a
+    # 1079-gate fold cannot be encoded; the error names the output and its
+    # depth and points to text mode instead of printing a traceback.
+    net = build_network(45, 2, NetworkConfig(logic_parts=1))
+    net.selectors[0][:] = 1.0
+    model = saved_model(tmp_path, net=net)
+    assert main(["extract", "--model", str(model), "--samples", "20", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "output 0: its tree nests 1079 gates deep" in captured.err
+    assert "without --json" in captured.err
 
 
 def test_text_extract_never_builds_the_json_tree(tmp_path, capsys):

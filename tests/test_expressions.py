@@ -19,7 +19,7 @@ from softlogic.expressions import (
     render,
     to_dict,
 )
-from softlogic.extraction import describe_expression, should_omit
+from softlogic.extraction import _same_expr, describe_expression, should_omit
 from softlogic.operators import OperatorKind, gate_crisp
 
 AND = OperatorKind.CONJUNCTION
@@ -270,3 +270,159 @@ def test_from_dict_rejects_unknown_nodes():
     with pytest.raises(ValueError):
         from_dict({"op": "xor", "alpha": 0.5,
                    "left": {"leaf": 0}, "right": {"leaf": 1}})
+
+
+# ------------------------------------------------------- shared subtrees
+#
+# Traces are DAGs: rows reached along several paths share one subtree.
+# Every consumer must give what a plain tree walk of the expanded tree
+# gives; the walkers below are that reference, written the direct way.
+
+
+def _ref_render(node, leaf_text=lambda slot: f"({slot})"):
+    if isinstance(node, Leaf):
+        return leaf_text(node.slot)
+    if isinstance(node, Const):
+        return "1" if node.truth else "0"
+    if isinstance(node, Not):
+        return f"1-({_ref_render(node.child, leaf_text)})"
+    left, right = (f"({_ref_render(c, leaf_text)})" if isinstance(c, (Gate, Not))
+                   else _ref_render(c, leaf_text) for c in (node.left, node.right))
+    return f"{left} {node.kind.token(node.alpha)} {right}"
+
+
+def _ref_canonical_form(node):
+    if isinstance(node, (Leaf, Const)):
+        return node
+    if isinstance(node, Not):
+        return Not(_ref_canonical_form(node.child))
+    alpha = node.kind.canonical_alpha
+    if alpha is None:
+        alpha = round(node.alpha, 2)
+    return Gate(node.kind, alpha, _ref_canonical_form(node.left),
+                _ref_canonical_form(node.right))
+
+
+def _ref_leaf_count(node):
+    if isinstance(node, (Leaf, Const)):
+        return 1
+    if isinstance(node, Not):
+        return _ref_leaf_count(node.child)
+    return _ref_leaf_count(node.left) + _ref_leaf_count(node.right)
+
+
+def _ref_gate_depth(node):
+    if isinstance(node, (Leaf, Const)):
+        return 0
+    if isinstance(node, Not):
+        return _ref_gate_depth(node.child)
+    return 1 + max(_ref_gate_depth(node.left), _ref_gate_depth(node.right))
+
+
+def _ref_evaluate_crisp(node, arr):
+    if isinstance(node, Leaf):
+        return arr[:, node.slot]
+    if isinstance(node, Const):
+        return np.full(arr.shape[0], 1.0 if node.truth else 0.0)
+    if isinstance(node, Not):
+        return 1.0 - _ref_evaluate_crisp(node.child, arr)
+    return gate_crisp(_ref_evaluate_crisp(node.left, arr),
+                      _ref_evaluate_crisp(node.right, arr), node.alpha)
+
+
+def _ref_to_dict(node):
+    if isinstance(node, Leaf):
+        return {"leaf": node.slot}
+    if isinstance(node, Const):
+        return {"const": node.truth}
+    if isinstance(node, Not):
+        return {"not": _ref_to_dict(node.child)}
+    return {"op": node.kind.symbol, "alpha": node.alpha,
+            "left": _ref_to_dict(node.left), "right": _ref_to_dict(node.right)}
+
+
+_ALPHAS = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 0.25, 0.255]),
+                    st.floats(min_value=0.0, max_value=1.0))
+_STEPS = st.one_of(
+    st.tuples(st.just("leaf"), st.integers(min_value=0, max_value=3)),
+    st.tuples(st.just("const"), st.booleans()),
+    st.tuples(st.just("not"), st.integers(min_value=0, max_value=40)),
+    st.tuples(st.just("gate"), st.sampled_from(list(OperatorKind)), _ALPHAS,
+              st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=40)),
+)
+# A program builds a DAG node by node; each Not or Gate refers back to
+# earlier nodes, counted from the newest, so subtrees are shared often.
+programs = st.lists(_STEPS, max_size=14).map(lambda steps: [("leaf", 0), *steps])
+
+
+def build_dag(program):
+    nodes = []
+    for op, *args in program:
+        back = lambda k: nodes[-1 - k % len(nodes)]  # noqa: E731
+        if op == "leaf":
+            nodes.append(Leaf(*args))
+        elif op == "const":
+            nodes.append(Const(*args))
+        elif op == "not":
+            nodes.append(Not(back(args[0])))
+        else:
+            kind, alpha, left, right = args
+            nodes.append(Gate(kind, alpha, back(left), back(right)))
+    return nodes[-1]
+
+
+@given(programs, st.integers(min_value=0, max_value=2**32 - 1))
+def test_consumers_of_a_shared_dag_match_the_tree_walk(program, seed):
+    expr = build_dag(program)
+    leaves = np.random.default_rng(seed).uniform(size=(5, 4))
+    assert render(expr) == _ref_render(expr)
+    labels = ["a", "(b and c)", "d", "e"]
+    assert describe_expression(expr, labels) == _ref_render(expr, labels.__getitem__)
+    assert to_dict(expr) == _ref_to_dict(expr)
+    assert canonical_form(expr) == _ref_canonical_form(expr)
+    assert leaf_count(expr) == _ref_leaf_count(expr)
+    assert gate_depth(expr) == _ref_gate_depth(expr)
+    assert (evaluate_crisp(expr, leaves).tobytes()
+            == _ref_evaluate_crisp(expr, leaves).tobytes())
+
+
+@given(programs, st.one_of(st.none(), st.tuples(st.integers(min_value=0), _STEPS)))
+def test_same_expr_agrees_with_dataclass_equality(program, edit):
+    # The second expression is built afresh, so it shares no node with the
+    # first; an edit may change a node the root never reaches.
+    other = list(program)
+    if edit is not None and len(other) > 1:
+        index, step = edit
+        other[1 + index % (len(other) - 1)] = step
+    a, b = build_dag(program), build_dag(other)
+    assert _same_expr(a, b) == (a == b)
+    assert _same_expr(a, build_dag(program))
+    assert _same_expr(a, a)
+
+
+def _chain(depth):
+    """``depth`` gates nested down the left side, with a negation on every
+    right operand and an unnamed level that canonical_form rounds."""
+    expr = Leaf(0)
+    for i in range(1, depth + 1):
+        expr = Gate(OperatorKind.OTHER, 0.123, expr, Not(Leaf(i % 3)))
+    return expr
+
+
+def test_consumers_of_a_chain_deeper_than_the_recursion_limit():
+    expr = _chain(5000)
+    assert gate_depth(expr) == 5000
+    assert gate_depth(Not(expr)) == 5000
+
+    clean, data, depth = canonical_form(expr), to_dict(expr), 0
+    while isinstance(clean, Gate):
+        assert clean.alpha == 0.12 and data["alpha"] == 0.123
+        assert data["right"] == {"not": {"leaf": clean.right.child.slot}}
+        clean, data, depth = clean.left, data["left"], depth + 1
+    assert depth == 5000 and clean == Leaf(0) and data == {"leaf": 0}
+
+    leaves = np.random.default_rng(0).uniform(size=(3, 3))
+    expected = leaves[:, 0]
+    for i in range(1, 5001):
+        expected = gate_crisp(expected, 1.0 - leaves[:, i % 3], 0.123)
+    assert evaluate_crisp(expr, leaves).tobytes() == expected.tobytes()

@@ -16,6 +16,8 @@ from softlogic.expressions import (
     Leaf,
     Not,
     canonical_form,
+    gate_depth,
+    leaf_count,
     parse,
     render,
     to_dict,
@@ -459,6 +461,19 @@ def test_faithfulness_of_a_trace_deeper_than_the_recursion_limit():
     expr = trace_expression(net)
     x = np.random.default_rng(3).uniform(-1, 1, size=(20, 38))
     assert 0.0 <= faithfulness(net, expr, x) <= 1.0
+
+
+def test_a_subtree_shared_along_2_to_the_200_paths_is_visited_once():
+    # The expanded tree has 2**200 leaves; every consumer must work on the
+    # 401 distinct nodes instead.
+    g = Leaf(0)
+    for _ in range(200):
+        g = Gate(UNI, 0.5, g, Not(g))
+    assert leaf_count(g) == 2**200
+    assert gate_depth(g) == 200
+    assert extraction._same_expr(g, canonical_form(g))
+    assert not extraction._same_expr(g, Gate(UNI, 0.5, g.left, g.left))
+    assert should_omit(g) == (True, "too long")
 
 
 def test_faithfulness_of_wrong_rule_is_poor():
