@@ -52,6 +52,9 @@ class ColumnSchema:
     missing_token: str = "?"
 
     def __post_init__(self) -> None:
+        for key in ("name", "kind", "missing_token"):
+            if not isinstance(getattr(self, key), str):
+                raise DataError(f"column {key} must be a string, got {getattr(self, key)!r}")
         if self.kind not in COLUMN_KINDS:
             raise DataError(f"unknown column kind {self.kind!r}")
 
@@ -100,12 +103,17 @@ def load_schema(path: str | Path) -> list[ColumnSchema]:
         raw = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(raw, dict):
+        raise DataError(f"{path}: schema must be a JSON object")
     default_missing = raw.get("missing_token", "?")
+    items = raw.get("columns", [])
+    if not (isinstance(items, list) and all(isinstance(item, dict) for item in items)):
+        raise DataError(f"{path}: columns must be a list of objects")
     columns = []
-    for i, item in enumerate(raw.get("columns", [])):
+    for i, item in enumerate(items):
         columns.append(ColumnSchema(
             name=item.get("name", f"col{i}"),
-            kind=item["kind"],
+            kind=item.get("kind"),
             missing_token=item.get("missing_token", default_missing),
         ))
     if sum(1 for c in columns if c.kind == "label") != 1:

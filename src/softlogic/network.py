@@ -33,7 +33,6 @@ __all__ = [
     "PairingTable",
     "enumerate_pairings",
     "NetworkConfig",
-    "LayerSpec",
     "ForwardCache",
     "Gradients",
     "LogicNetwork",
@@ -42,7 +41,7 @@ __all__ = [
 ]
 
 FORMAT_NAME = "softlogic-model"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class ConfigurationError(ValueError):
@@ -120,11 +119,10 @@ class PairingTable:
         constant = {"true": width_in, "false": width_in + 1}
         self.left_idx = np.array([p.i for p in pairings], dtype=np.intp)
         self.right_idx = np.array([constant.get(p.kind, p.j) for p in pairings], dtype=np.intp)
-        # Dense 0/1 scatter maps turn backward accumulation into matmuls;
-        # the constant columns are cut off, so constant slots map to zero.
+        # A dense scatter map turns backward accumulation into one matmul;
+        # the constant columns are cut off, so constant operands map to zero.
         eye = np.eye(width_in + 2)[:, :width_in]
-        self.scatter_left = eye[self.left_idx]
-        self.scatter_right = eye[self.right_idx]
+        self.scatter_map = eye[self.left_idx] + eye[self.right_idx]
 
     @classmethod
     def standard(cls, width_in: int) -> "PairingTable":
@@ -142,7 +140,7 @@ class PairingTable:
     def scatter(self, g: np.ndarray) -> np.ndarray:
         """Accumulate the operand gradient, which both operands of a slot
         share, back onto the layer's inputs."""
-        return g @ self.scatter_left + g @ self.scatter_right
+        return g @ self.scatter_map
 
 
 @dataclass(frozen=True)
@@ -171,13 +169,6 @@ class NetworkConfig:
             raise ConfigurationError("alpha_init must be an ordered range in [0, 1]")
         if self.max_pairing_slots < 1:
             raise ConfigurationError("max_pairing_slots must be positive")
-
-
-@dataclass(frozen=True)
-class LayerSpec:
-    kind: str
-    width_in: int
-    width_out: int
 
 
 @dataclass
@@ -249,19 +240,6 @@ class LogicNetwork:
     @property
     def output_width(self) -> int:
         return 1 if self.class_count == 2 else self.class_count
-
-    def layer_specs(self) -> list[LayerSpec]:
-        specs = [LayerSpec("normalization", self.feature_count, self.feature_count)]
-        for p, table in enumerate(self.pairing_tables):
-            m = table.width_out
-            specs.append(LayerSpec("all_pairings", table.width_in, m))
-            specs.append(LayerSpec("fuzzy_logic", m, m))
-            w_out = self.selectors[p].shape[0]
-            specs.append(LayerSpec("feature_selector", m, w_out))
-            if p + 1 < len(self.pairing_tables):
-                specs.append(LayerSpec("tanh_remap", w_out, w_out))
-        specs.append(LayerSpec("max_classifier", self.output_width, self.output_width))
-        return specs
 
     def bump_version(self) -> None:
         """Mark parameters as changed, invalidating existing caches."""
@@ -434,7 +412,6 @@ class LogicNetwork:
             "class_count": self.class_count,
             "config": config,
             "squash": squash_params,
-            "layers": [asdict(s) for s in self.layer_specs()],
             "pairings": [
                 [p.to_json() for p in table.pairings]
                 for table in self.pairing_tables

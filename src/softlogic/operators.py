@@ -122,17 +122,15 @@ def squash_grad(x, params: SquashParams = SquashParams()):
     dS/dx = (sigma(b (x - a + l/2)) - sigma(b (x - a - l/2))) / l
 
     Nonnegative everywhere, close to 1 inside the ramp and decaying to 0
-    outside it.
+    outside it.  Each logistic is sigma(z) = (1 + tanh(z / 2)) / 2, which
+    cannot overflow for any finite z.
     """
-    # Imported here, not at module level: scipy takes most of the package's
-    # import time, and only training needs this derivative.
-    from scipy.special import expit
     arr = np.asarray(x, dtype=float)
     _check_finite(arr, "x")
     a, lam, beta = params.center, params.ramp_width, params.smoothness
-    lo = beta * (arr - (a - lam / 2.0))
-    hi = beta * (arr - (a + lam / 2.0))
-    out = (expit(lo) - expit(hi)) / lam
+    lo = (beta / 2.0) * (arr - (a - lam / 2.0))
+    hi = (beta / 2.0) * (arr - (a + lam / 2.0))
+    out = (np.tanh(lo) - np.tanh(hi)) / (2.0 * lam)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 

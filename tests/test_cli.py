@@ -8,10 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import softlogic
 from softlogic.cli import main
-from softlogic.data import generate_synthetic, numeric_schema, save_csv
+from softlogic.data import COLUMN_KINDS, generate_synthetic, numeric_schema, save_csv
 from softlogic.expressions import Gate, Leaf
 from softlogic.network import LogicNetwork, NetworkConfig, build_network
 from softlogic.operators import OperatorKind
@@ -311,18 +313,35 @@ def test_version_flag():
     assert exc.value.code == 0
 
 
-def test_console_script_runs(tmp_path):
-    # The child process imports the same package as this test, installed
-    # or not.
+def run_child(code, *args):
+    """Run ``code`` in a fresh interpreter that imports the same package as
+    this test, installed or not."""
     package_root = str(Path(softlogic.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from softlogic.cli import main; sys.exit(main(sys.argv[1:]))",
-         "plot-squash", "--out", str(tmp_path / "c.csv")],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_console_script_runs(tmp_path):
+    proc = run_child(
+        "import sys; from softlogic.cli import main; sys.exit(main(sys.argv[1:]))",
+        "plot-squash", "--out", str(tmp_path / "c.csv"))
     assert proc.returncode == 0
     assert (tmp_path / "c.csv").exists()
+
+
+def test_training_never_imports_scipy(tmp_path, corpus):
+    # numpy is the only runtime dependency; backward's squash slope must
+    # not pull scipy in.
+    data, schema = corpus
+    proc = run_child(
+        "import sys; from softlogic.cli import main; code = main(sys.argv[1:]);"
+        " print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'));"
+        " sys.exit(code)",
+        "train", "--data", str(data), "--schema", str(schema),
+        "--out", str(tmp_path / "m.json"), "--logic-parts", "2", "--max-epochs", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 # ------------------------------------------------- serialized settings
@@ -376,6 +395,83 @@ def test_serialized_setting_blocks_are_pinned(tmp_path, corpus):
         '    "validation_fraction": 0.15\n'
         '  },\n'
     ) in manifest
+
+
+# --------------------------------------------- malformed schema files
+
+
+def _numeric_columns(**extra):
+    """The corpus's four columns, with ``extra`` set on the first."""
+    columns = numeric_schema(["f0", "f1", "f2"])["columns"]
+    columns[0].update(extra)
+    return columns
+
+
+@pytest.mark.parametrize("payload", [
+    pytest.param([1, 2], id="top-level-list"),
+    pytest.param({"columns": [{"name": "f0"}]}, id="column-without-kind"),
+    pytest.param({"columns": {"a": 1}}, id="columns-object"),
+    pytest.param({"columns": [1, 2]}, id="columns-of-numbers"),
+    pytest.param({"columns": _numeric_columns(name=5)}, id="numeric-column-name"),
+    pytest.param({"missing_token": 0, "columns": _numeric_columns()},
+                 id="numeric-missing-token"),
+    pytest.param({"columns": _numeric_columns(missing_token=None)},
+                 id="null-column-missing-token"),
+])
+def test_malformed_schema_file_exits_2(tmp_path, corpus, capsys, payload):
+    data, _ = corpus
+    schema = tmp_path / "bad.schema.json"
+    schema.write_text(json.dumps(payload))
+    code, out = run_train(tmp_path, data, schema)
+    assert code == 2
+    assert "bad input" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_kinds = st.sampled_from(COLUMN_KINDS)
+_tokens = st.sampled_from(["?", "b"])
+_column = st.fixed_dictionaries({"kind": _kinds},
+                                optional={"name": st.text(max_size=4), "missing_token": _tokens})
+_any_column = _json_values | st.fixed_dictionaries({}, optional={
+    "name": st.text(max_size=4) | _json_values,
+    "kind": _kinds | _json_values,
+    "missing_token": _tokens | _json_values,
+})
+# Three feature columns and a label anywhere: well-formed schemas that
+# reach training.  The other branches probe the checks.
+_labelled = st.tuples(
+    st.lists(_column.filter(lambda column: column["kind"] != "label"), min_size=3, max_size=3),
+    st.integers(0, 3),
+).map(lambda drawn: drawn[0][:drawn[1]] + [{"kind": "label"}] + drawn[0][drawn[1]:])
+_schemas = (
+    st.fixed_dictionaries({"columns": _labelled})
+    | st.fixed_dictionaries({"columns": st.lists(_column | _any_column, max_size=5)},
+                            optional={"missing_token": _tokens | _json_values})
+    | _json_values
+)
+
+
+# Random schemas make the encoder and splitter warn about odd columns and classes.
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_schemas)
+def test_any_schema_file_ends_in_a_documented_exit_code(tmp_path, payload):
+    data = tmp_path / "fuzz.csv"
+    data.write_text("".join(f"{i / 4},{i % 5},{'ab'[i % 3 == 0]},{i % 2}\n"
+                            for i in range(16)))
+    schema = tmp_path / "fuzz.schema.json"
+    schema.write_text(json.dumps(payload))
+    code = main(["train", "--data", str(data), "--schema", str(schema),
+                 "--out", str(tmp_path / "fuzz.json"), "--max-epochs", "1"])
+    assert code in (0, 2, 3, 4)
 
 
 # --------------------------------------------- malformed config files
@@ -452,36 +548,39 @@ def _edit(path, value=_DELETE):
     return edit
 
 
-@pytest.mark.parametrize("edit", [
-    pytest.param(_edit(["alphas"]), id="missing-alphas"),
-    pytest.param(_edit(["config", "seed"]), id="missing-config-seed"),
-    pytest.param(_edit(["squash", "center"]), id="missing-squash-center"),
-    pytest.param(_edit(["config", "hidden_widht"], 8), id="unknown-config-key"),
-    pytest.param(_edit(["config", "hidden_width"], None), id="null-config-value"),
-    pytest.param(_edit(["config", "hidden_width"], 4.5), id="fractional-hidden-width"),
-    pytest.param(_edit(["config", "seed"], None), id="null-seed"),
-    pytest.param(_edit(["config", "seed"], True), id="boolean-seed"),
-    pytest.param(_edit(["squash", "smoothness"], "sharp"), id="string-squash-value"),
-    pytest.param(_edit(["pairings", 0, 0], ["pair", 0, 3]), id="pairing-index-past-width"),
-    pytest.param(_edit(["alphas", 0, 0], 1.5), id="alpha-above-one"),
-    pytest.param(_edit(["normalization", "low", 0], 2.0), id="low-above-high"),
-    pytest.param(_edit(["feature_names"], ["a"]), id="short-feature-names"),
-    pytest.param(_edit(["feature_names"], 5), id="feature-names-not-a-list"),
-    pytest.param(_edit(["label_names"], ["0", "1", "2"]), id="label-names-too-long"),
-    pytest.param(_edit(["selectors", -1, 0, 0], float("nan")), id="nan-selector"),
-    pytest.param(_edit(["selectors", -1, 0, 0], float("inf")), id="inf-selector"),
-    pytest.param(_edit(["normalization", "high", 0], float("inf")), id="inf-normalization-bound"),
-    pytest.param(_edit(["pairings", 0, 0], ["pair", 0.7, 1]), id="fractional-pairing-index"),
-    pytest.param(_edit(["pairings", 0, 0], ["pair", True, 2]), id="boolean-pairing-index"),
-    pytest.param(_edit(["pairings", 0, 0], ["pair", 0, 1, 5]), id="pairing-with-extra-item"),
-    pytest.param(_edit(["pairings", 0, 3], ["true", 0, 1]), id="constant-pairing-with-extra-item"),
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(_edit(["alphas"]), "", id="missing-alphas"),
+    pytest.param(_edit(["config", "seed"]), "", id="missing-config-seed"),
+    pytest.param(_edit(["squash", "center"]), "", id="missing-squash-center"),
+    pytest.param(_edit(["config", "hidden_widht"], 8), "", id="unknown-config-key"),
+    pytest.param(_edit(["config", "hidden_width"], None), "", id="null-config-value"),
+    pytest.param(_edit(["config", "hidden_width"], 4.5), "", id="fractional-hidden-width"),
+    pytest.param(_edit(["config", "seed"], None), "", id="null-seed"),
+    pytest.param(_edit(["config", "seed"], True), "", id="boolean-seed"),
+    pytest.param(_edit(["squash", "smoothness"], "sharp"), "", id="string-squash-value"),
+    pytest.param(_edit(["pairings", 0, 0], ["pair", 0, 3]), "", id="pairing-index-past-width"),
+    pytest.param(_edit(["alphas", 0, 0], 1.5), "", id="alpha-above-one"),
+    pytest.param(_edit(["normalization", "low", 0], 2.0), "", id="low-above-high"),
+    pytest.param(_edit(["feature_names"], ["a"]), "", id="short-feature-names"),
+    pytest.param(_edit(["feature_names"], 5), "", id="feature-names-not-a-list"),
+    pytest.param(_edit(["label_names"], ["0", "1", "2"]), "", id="label-names-too-long"),
+    pytest.param(_edit(["selectors", -1, 0, 0], float("nan")), "", id="nan-selector"),
+    pytest.param(_edit(["selectors", -1, 0, 0], float("inf")), "", id="inf-selector"),
+    pytest.param(_edit(["normalization", "high", 0], float("inf")), "", id="inf-normalization-bound"),
+    pytest.param(_edit(["pairings", 0, 0], ["pair", 0.7, 1]), "", id="fractional-pairing-index"),
+    pytest.param(_edit(["pairings", 0, 0], ["pair", True, 2]), "", id="boolean-pairing-index"),
+    pytest.param(_edit(["pairings", 0, 0], ["pair", 0, 1, 5]), "", id="pairing-with-extra-item"),
+    pytest.param(_edit(["pairings", 0, 3], ["true", 0, 1]), "", id="constant-pairing-with-extra-item"),
+    pytest.param(_edit(["format_version"], 1), "unsupported model format version 1",
+                 id="format-version-1"),
 ])
-def test_malformed_model_file_exits_2(tmp_path, corpus, capsys, edit):
+def test_malformed_model_file_exits_2(tmp_path, corpus, capsys, edit, message):
     data, schema = corpus
     model = saved_model(tmp_path, edit)
     assert main(["eval", "--model", str(model), "--data", str(data),
                  "--schema", str(schema)]) == 2
-    assert "bad input" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "bad input" in err and message in err
 
 
 @pytest.mark.parametrize("mode", [[], ["--json"]])

@@ -130,18 +130,14 @@ def test_pairing_json_round_trip():
 
 def test_layer_widths_match_slot_arithmetic():
     net = build_network(4, 2, NetworkConfig(hidden_width=8, logic_parts=2))
-    kinds = [(s.kind, s.width_in, s.width_out) for s in net.layer_specs()]
-    assert kinds == [
-        ("normalization", 4, 4),
-        ("all_pairings", 4, 14),       # C(4,2) + 2*4
-        ("fuzzy_logic", 14, 14),
-        ("feature_selector", 14, 8),
-        ("tanh_remap", 8, 8),
-        ("all_pairings", 8, 44),       # C(8,2) + 2*8
-        ("fuzzy_logic", 44, 44),
-        ("feature_selector", 44, 1),
-        ("max_classifier", 1, 1),
+    widths = [(table.width_in, table.width_out, alphas.shape, selector.shape)
+              for table, alphas, selector
+              in zip(net.pairing_tables, net.alphas, net.selectors)]
+    assert widths == [
+        (4, 14, (14,), (8, 14)),       # C(4,2) + 2*4 slots onto hidden width 8
+        (8, 44, (44,), (1, 44)),       # C(8,2) + 2*8 slots onto one output
     ]
+    assert net.output_width == 1
 
 
 def test_output_width_binary_vs_multiclass():
@@ -560,13 +556,11 @@ def test_validate_catches_selector_chain_break():
         net.validate()
 
 
-def test_serialized_form_is_json_with_layers(tmp_path):
+def test_serialized_form_is_format_v2_json_without_layers(tmp_path):
     net = toy_net(feature_count=2, class_count=2)
     data = json.loads(serialize_model(net))
-    kinds = [layer["kind"] for layer in data["layers"]]
-    assert kinds[0] == "normalization"
-    assert kinds[-1] == "max_classifier"
-    assert "tanh_remap" in kinds
+    assert data["format_version"] == 2
+    assert "layers" not in data
     assert data["class_count"] == 2
 
 

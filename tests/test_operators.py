@@ -1,6 +1,7 @@
 """Operator algebra: crisp identities, smooth surrogates, snapping."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +144,25 @@ def test_squash_grad_matches_finite_differences():
 @given(st.floats(min_value=-5, max_value=5, allow_nan=False))
 def test_squash_grad_nonnegative(x):
     assert squash_grad(x) >= 0.0
+
+
+def test_squash_grad_far_outside_the_ramp_is_quiet_and_nonnegative():
+    # Far arguments would overflow exp(-z) in a naive logistic.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = squash_grad(np.array([-1e6, -1e3, 1e3, 1e6]))
+    assert np.all(out >= 0.0)
+
+
+@pytest.mark.parametrize("params", [SquashParams(), SquashParams(smoothness=20.0)])
+def test_squash_grad_matches_two_logistics(params):
+    def logistic(z):
+        return np.exp(-np.logaddexp(0.0, -z))
+
+    a, lam, beta = params.center, params.ramp_width, params.smoothness
+    x = np.linspace(-1.0, 2.0, 3001)
+    reference = (logistic(beta * (x - (a - lam / 2))) - logistic(beta * (x - (a + lam / 2)))) / lam
+    assert np.max(np.abs(squash_grad(x, params) - reference)) <= 4.5e-16
 
 
 # ------------------------------------------------------ crisp gates
