@@ -46,7 +46,6 @@ from .network import (
     ShapeMismatchError,
     StaleCacheError,
     build_network,
-    enumerate_pairings,
     serialize_model,
 )
 from .operators import (
@@ -87,7 +86,7 @@ __all__ = [
     "LogicExpr", "Leaf", "Const", "Gate", "Not", "render", "parse",
     "evaluate_crisp", "canonical_form",
     # network
-    "NetworkConfig", "LogicNetwork", "build_network", "enumerate_pairings",
+    "NetworkConfig", "LogicNetwork", "build_network",
     "serialize_model", "ConfigurationError", "ShapeMismatchError",
     "StaleCacheError",
     # training

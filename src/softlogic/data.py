@@ -109,6 +109,14 @@ def load_schema(path: str | Path) -> list[ColumnSchema]:
     items = raw.get("columns", [])
     if not (isinstance(items, list) and all(isinstance(item, dict) for item in items)):
         raise DataError(f"{path}: columns must be a list of objects")
+    # A misspelt optional key would otherwise fall back to its default.
+    blocks = [("schema", raw, {"missing_token", "columns"})]
+    blocks += [(f"column {i}", item, {"name", "kind", "missing_token"})
+               for i, item in enumerate(items)]
+    for where, block, known in blocks:
+        if set(block) - known:
+            raise DataError(f"{path}: {where} has unknown key(s)"
+                            f" {', '.join(sorted(set(block) - known))}")
     columns = []
     for i, item in enumerate(items):
         columns.append(ColumnSchema(
@@ -118,6 +126,10 @@ def load_schema(path: str | Path) -> list[ColumnSchema]:
         ))
     if sum(1 for c in columns if c.kind == "label") != 1:
         raise DataError(f"{path}: schema must have exactly one label column")
+    names = [c.name for c in columns]
+    if len(set(names)) < len(names):
+        duplicate = next(n for n in names if names.count(n) > 1)
+        raise DataError(f"{path}: column name {duplicate!r} appears more than once")
     return columns
 
 

@@ -29,9 +29,7 @@ __all__ = [
     "ConfigurationError",
     "ShapeMismatchError",
     "StaleCacheError",
-    "Pairing",
     "PairingTable",
-    "enumerate_pairings",
     "NetworkConfig",
     "ForwardCache",
     "Gradients",
@@ -56,77 +54,64 @@ class StaleCacheError(RuntimeError):
     """Raised when a backward pass uses a cache from outdated parameters."""
 
 
-@dataclass(frozen=True)
-class Pairing:
-    """One slot of a pairing layer.
-
-    kind "pair" couples inputs i and j, "true" couples input i with the
-    constant +1 and "false" with the constant -1.
-    """
-
-    kind: str
-    i: int
-    j: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("pair", "true", "false"):
-            raise ValueError(f"unknown pairing kind {self.kind!r}")
-        if self.kind == "pair" and (self.j is None or not self.i < self.j):
-            raise ValueError("pair requires i < j")
-        if self.kind != "pair" and self.j is not None:
-            raise ValueError("constant pairings take a single index")
-
-    def to_json(self) -> list:
-        if self.kind == "pair":
-            return ["pair", self.i, self.j]
-        return [self.kind, self.i]
-
-    @staticmethod
-    def from_json(item: list) -> "Pairing":
-        """Inverse of :meth:`to_json`; an entry of another length or with a
-        non-integer index is rejected, not coerced."""
-        kind = item[0] if isinstance(item, list) and item else None
-        if (kind not in ("pair", "true", "false") or len(item) != (3 if kind == "pair" else 2)
-                or not all(type(index) is int for index in item[1:])):
-            raise ConfigurationError(f"malformed pairing {json.dumps(item)}")
-        return Pairing(*item)
-
-
-def enumerate_pairings(width: int) -> list[Pairing]:
-    """Deterministic pairing order: all (i, j) with i < j lexicographically,
-    then every input against true, then every input against false."""
-    if width < 1:
-        raise ConfigurationError("pairing layer needs at least one input")
-    out = [Pairing("pair", i, j) for i in range(width) for j in range(i + 1, width)]
-    out += [Pairing("true", i) for i in range(width)]
-    out += [Pairing("false", i) for i in range(width)]
-    return out
-
-
 class PairingTable:
-    """Pairing list as two gather indices into the augmented input
-    ``[x, +1, -1]``: slot s combines column ``left_idx[s]`` with column
-    ``right_idx[s]``, so a "true" slot's right index is ``width_in`` and a
-    "false" slot's is ``width_in + 1``."""
+    """A pairing layer as two gather indices into the augmented input
+    ``[x, +1, -1]``: slot s combines input ``left_idx[s]`` with column
+    ``right_idx[s]``, a later input or, at ``width_in`` and ``width_in +
+    1``, the constant true or false."""
 
-    def __init__(self, width_in: int, pairings: list[Pairing]):
+    def __init__(self, width_in: int, left_idx, right_idx):
         self.width_in = width_in
-        self.pairings = pairings
-        self.width_out = len(pairings)
-        for p in pairings:
-            if not (0 <= p.i < width_in and (p.j is None or p.j < width_in)):
-                raise ConfigurationError(f"pairing index outside the layer's {width_in} inputs")
-        constant = {"true": width_in, "false": width_in + 1}
-        self.left_idx = np.array([p.i for p in pairings], dtype=np.intp)
-        self.right_idx = np.array([constant.get(p.kind, p.j) for p in pairings], dtype=np.intp)
+        self.left_idx = left = np.array(left_idx, dtype=np.intp)
+        self.right_idx = right = np.array(right_idx, dtype=np.intp)
+        if not (left.ndim == 1 and left.shape == right.shape
+                and np.all((0 <= left) & (left < width_in) & (left < right)
+                           & (right < width_in + 2))):
+            raise ConfigurationError(f"pairing index outside the layer's {width_in} inputs")
+        self.width_out = left.size
         # A dense scatter map turns backward accumulation into one matmul;
         # the constant columns are cut off, so constant operands map to zero.
         eye = np.eye(width_in + 2)[:, :width_in]
-        self.scatter_map = eye[self.left_idx] + eye[self.right_idx]
+        self.scatter_map = eye[left] + eye[right]
 
     @classmethod
     def standard(cls, width_in: int) -> "PairingTable":
-        return cls(width_in, enumerate_pairings(width_in))
+        """Every pair (i, j) with i < j lexicographically, then every input
+        against true, then every input against false."""
+        if width_in < 1:
+            raise ConfigurationError("pairing layer needs at least one input")
+        pair_left, pair_right = np.triu_indices(width_in, k=1)
+        inputs = np.arange(width_in)
+        constants = np.repeat([width_in, width_in + 1], width_in)
+        return cls(width_in, np.concatenate([pair_left, inputs, inputs]),
+                   np.concatenate([pair_right, constants]))
+
+    def to_json(self) -> list[list]:
+        """The model-file form of each slot: ``["pair", i, j]``, ``["true",
+        i]`` or ``["false", i]``."""
+        constant = {self.width_in: "true", self.width_in + 1: "false"}
+        return [[constant[j], i] if j in constant else ["pair", i, j]
+                for i, j in zip(self.left_idx.tolist(), self.right_idx.tolist())]
+
+    @classmethod
+    def from_json(cls, width_in: int, items: list) -> "PairingTable":
+        """Inverse of :meth:`to_json`; an entry of another length, with a
+        non-integer index or with a pair partner past the inputs is
+        rejected, not coerced."""
+        slots = []
+        for item in items:
+            kind = item[0] if isinstance(item, list) and item else None
+            if kind == "pair" and len(item) == 3 and type(item[2]) is int and item[2] < width_in:
+                slot = item[1:]
+            elif kind in ("true", "false") and len(item) == 2:
+                slot = [item[1], width_in + (kind == "false")]
+            else:
+                slot = None
+            if slot is None or type(slot[0]) is not int:
+                raise ConfigurationError(f"malformed pairing {json.dumps(item)}")
+            slots.append(slot)
+        left, right = np.array(slots, dtype=np.intp).reshape(-1, 2).T
+        return cls(width_in, left, right)
 
     def operands(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gather signed left/right operands along the last axis of a batch."""
@@ -412,10 +397,7 @@ class LogicNetwork:
             "class_count": self.class_count,
             "config": config,
             "squash": squash_params,
-            "pairings": [
-                [p.to_json() for p in table.pairings]
-                for table in self.pairing_tables
-            ],
+            "pairings": [table.to_json() for table in self.pairing_tables],
             "alphas": [a.tolist() for a in self.alphas],
             "selectors": [w.tolist() for w in self.selectors],
             "normalization": {
@@ -446,8 +428,7 @@ class LogicNetwork:
             tables = []
             width = data["feature_count"]
             for p, items in enumerate(data["pairings"]):
-                pairings = [Pairing.from_json(item) for item in items]
-                tables.append(PairingTable(width, pairings))
+                tables.append(PairingTable.from_json(width, items))
                 width = selectors[p].shape[0]
             net = cls(
                 feature_count=data["feature_count"],
@@ -464,7 +445,7 @@ class LogicNetwork:
             net.validate()
         except KeyError as exc:
             raise ConfigurationError(f"model file lacks key {exc}") from exc
-        except (IndexError, TypeError) as exc:
+        except (IndexError, TypeError, OverflowError) as exc:
             raise ConfigurationError(f"malformed model file: {exc}") from exc
         return net
 

@@ -51,10 +51,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.l1_regularization < 0:
-            raise ValueError("l1_regularization must be nonnegative")
+        # NaN passes both comparisons, and inf only diverges mid-training.
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be positive and finite")
+        if not (math.isfinite(self.l1_regularization) and self.l1_regularization >= 0):
+            raise ValueError("l1_regularization must be nonnegative and finite")
         if self.max_epochs < 1 or self.patience < 1:
             raise ValueError("max_epochs and patience must be at least 1")
         if self.batch_size < 1:

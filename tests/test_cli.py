@@ -120,6 +120,18 @@ def test_train_bad_flag_value_exits_2(tmp_path, corpus, capsys):
     assert "bad input" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, field", [("--learning-rate", "learning_rate"),
+                                         ("--l1", "l1_regularization")])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_train_non_finite_rate_exits_2(tmp_path, corpus, capsys, flag, field, value):
+    data, schema = corpus
+    code, out = run_train(tmp_path, data, schema, extra=(flag, value))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bad input" in err and field in err
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------- eval
 
 
@@ -417,6 +429,16 @@ def _numeric_columns(**extra):
                  id="numeric-missing-token"),
     pytest.param({"columns": _numeric_columns(missing_token=None)},
                  id="null-column-missing-token"),
+    pytest.param({"columns": [{"nmae": "f0", "kind": "numeric"}, *_numeric_columns()[1:]]},
+                 id="misspelt-column-name"),
+    pytest.param({"columns": _numeric_columns(missing_tokn="NA")},
+                 id="misspelt-column-missing-token"),
+    pytest.param({"missing_tokn": "NA", "columns": _numeric_columns()},
+                 id="misspelt-missing-token"),
+    pytest.param({"columns": _numeric_columns(name="f1")}, id="duplicate-column-name"),
+    pytest.param({"columns": [{"name": "col1", "kind": "numeric"}, {"kind": "numeric"},
+                              *_numeric_columns()[2:]]},
+                 id="name-colliding-with-a-default"),
 ])
 def test_malformed_schema_file_exits_2(tmp_path, corpus, capsys, payload):
     data, _ = corpus
@@ -534,13 +556,18 @@ def saved_model(tmp_path, edit=None, net=None):
 _DELETE = object()
 
 
+def _at(payload, path):
+    """The value at ``path`` in a JSON payload."""
+    for key in path:
+        payload = payload[key]
+    return payload
+
+
 def _edit(path, value=_DELETE):
     """Set the value at ``path`` in a model payload, or delete it."""
     def edit(payload):
         *parents, last = path
-        node = payload
-        for key in parents:
-            node = node[key]
+        node = _at(payload, parents)
         if value is _DELETE:
             del node[last]
         else:
@@ -571,6 +598,13 @@ def _edit(path, value=_DELETE):
     pytest.param(_edit(["pairings", 0, 0], ["pair", True, 2]), "", id="boolean-pairing-index"),
     pytest.param(_edit(["pairings", 0, 0], ["pair", 0, 1, 5]), "", id="pairing-with-extra-item"),
     pytest.param(_edit(["pairings", 0, 3], ["true", 0, 1]), "", id="constant-pairing-with-extra-item"),
+    pytest.param(_edit(["alphas", 0, 0], 10**400), "", id="alpha-too-large-for-a-float"),
+    pytest.param(_edit(["squash", "smoothness"], 10**400), "",
+                 id="squash-value-too-large-for-a-float"),
+    pytest.param(_edit(["feature_count"], 10**30), "", id="feature-count-too-large"),
+    pytest.param(_edit(["pairings", 0, 0], ["pair", -10**30, 1]), "",
+                 id="pairing-index-too-large"),
+    pytest.param(_edit(["pairings", 0, 0], ["false", 3]), "", id="constant-pairing-past-width"),
     pytest.param(_edit(["format_version"], 1), "unsupported model format version 1",
                  id="format-version-1"),
 ])
@@ -581,6 +615,50 @@ def test_malformed_model_file_exits_2(tmp_path, corpus, capsys, edit, message):
                  "--schema", str(schema)]) == 2
     err = capsys.readouterr().err
     assert "bad input" in err and message in err
+
+
+def _paths(node, path=()):
+    """Every path into a JSON value, the value's own first."""
+    yield path
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def _mutated_models(draw):
+    """A saved 3-feature, 2-part model payload with one key dropped, one
+    value replaced by a random JSON value, or one list shortened or
+    extended."""
+    payload = json.loads(json.dumps(build_network(3, 2, NetworkConfig(hidden_width=2)).to_dict()))
+    paths = list(_paths(payload))[1:]
+    action = draw(st.sampled_from(["drop", "replace", "resize"]))
+    if action == "resize":
+        paths = [path for path in paths if isinstance(_at(payload, path), list)]
+    *parents, last = draw(st.sampled_from(paths))
+    node = _at(payload, parents)
+    if action == "drop":
+        del node[last]
+    elif action == "replace":
+        node[last] = draw(_json_values)
+    elif node[last] and draw(st.booleans()):
+        node[last].pop()
+    else:
+        node[last].append(draw(st.sampled_from(node[last]) if node[last] else _json_values))
+    return payload
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_mutated_models())
+def test_any_model_file_ends_in_a_documented_exit_code(tmp_path, corpus, payload):
+    data, schema = corpus
+    model = tmp_path / "fuzz.json"
+    model.write_text(json.dumps(payload))
+    assert main(["eval", "--model", str(model), "--data", str(data),
+                 "--schema", str(schema)]) in (0, 2, 3, 4)
+    assert main(["extract", "--model", str(model), "--samples", "8"]) in (0, 2, 3, 4)
 
 
 @pytest.mark.parametrize("mode", [[], ["--json"]])

@@ -35,7 +35,7 @@ from softlogic.extraction import (
     snapped_network,
     trace_expression,
 )
-from softlogic.network import LogicNetwork, NetworkConfig, Pairing, build_network
+from softlogic.network import LogicNetwork, NetworkConfig, build_network
 from softlogic.operators import OperatorKind, classify_alpha, gate_crisp
 
 AND = OperatorKind.CONJUNCTION
@@ -706,16 +706,14 @@ def test_leaf_labels_cover_every_slot():
 def test_labels_and_trace_follow_a_loaded_nonstandard_pairing_order():
     # Both pairing lists are shuffled with the constant slots interleaved;
     # labels and Const nodes must follow the lists, not the standard order.
-    first = [Pairing("false", 2), Pairing("pair", 0, 2), Pairing("true", 1),
-             Pairing("pair", 1, 2), Pairing("false", 0), Pairing("true", 0),
-             Pairing("pair", 0, 1), Pairing("true", 2), Pairing("false", 1)]
-    second = [Pairing("true", 1), Pairing("pair", 0, 1), Pairing("false", 0),
-              Pairing("false", 1), Pairing("true", 0)]
+    first = [["false", 2], ["pair", 0, 2], ["true", 1], ["pair", 1, 2], ["false", 0],
+             ["true", 0], ["pair", 0, 1], ["true", 2], ["false", 1]]
+    second = [["true", 1], ["pair", 0, 1], ["false", 0], ["false", 1], ["true", 0]]
     alphas = [[1.0, 0.0, 0.5, 1.0, 0.0, 0.5, 1.0, 0.0, 0.5], [1.0, 0.0, 0.5, 1.0, 0.0]]
     names = ["a", "b", "c"]
     payload = build_network(3, 2, NetworkConfig(hidden_width=2, logic_parts=2),
                             feature_names=names).to_dict()
-    payload["pairings"] = [[p.to_json() for p in first], [p.to_json() for p in second]]
+    payload["pairings"] = [first, second]
     payload["alphas"] = alphas
     payload["selectors"] = [np.zeros((2, 9)), np.ones((1, 5))]
     payload["selectors"][0][0, 1] = 1.0     # hidden 0 reads slot 1
@@ -723,15 +721,15 @@ def test_labels_and_trace_follow_a_loaded_nonstandard_pairing_order():
     net = LogicNetwork.from_dict(payload)
     kinds = {1.0: AND, 0.0: OR, 0.5: UNI}
 
-    def right_label(p):
-        return names[p.j] if p.kind == "pair" else {"true": "1", "false": "0"}[p.kind]
+    def right_label(item):
+        return names[item[2]] if item[0] == "pair" else {"true": "1", "false": "0"}[item[0]]
 
-    assert leaf_labels(net) == [f"({names[p.i]} {kinds[a].symbol} {right_label(p)})"
-                                for p, a in zip(first, alphas[0])]
+    assert leaf_labels(net) == [f"({names[item[1]]} {kinds[a].symbol} {right_label(item)})"
+                                for item, a in zip(first, alphas[0])]
     hidden = [Leaf(1), Leaf(7)]
-    gates = [Gate(kinds[a], a, hidden[p.i],
-                  hidden[p.j] if p.kind == "pair" else Const(p.kind == "true"))
-             for p, a in zip(second, alphas[1])]
+    gates = [Gate(kinds[a], a, hidden[item[1]],
+                  hidden[item[2]] if item[0] == "pair" else Const(item[0] == "true"))
+             for item, a in zip(second, alphas[1])]
     assert trace_expression(net) == functools.reduce(
         lambda left, right: Gate(UNI, 0.5, left, right), gates)
 

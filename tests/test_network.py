@@ -12,12 +12,10 @@ from softlogic.network import (
     ConfigurationError,
     LogicNetwork,
     NetworkConfig,
-    Pairing,
     PairingTable,
     ShapeMismatchError,
     StaleCacheError,
     build_network,
-    enumerate_pairings,
     fit_normalization,
     serialize_model,
 )
@@ -33,31 +31,41 @@ def toy_net(feature_count=4, class_count=2, **kwargs):
 # ------------------------------------------------------------ pairings
 
 
-def test_enumerate_pairings_order_width_three():
-    got = [(p.kind, p.i, p.j) for p in enumerate_pairings(3)]
-    assert got == [
-        ("pair", 0, 1), ("pair", 0, 2), ("pair", 1, 2),
-        ("true", 0, None), ("true", 1, None), ("true", 2, None),
-        ("false", 0, None), ("false", 1, None), ("false", 2, None),
-    ]
+def reference_items(width):
+    """The model-file pairing order, spelled out: every (i, j) with i < j
+    lexicographically, then every input against true, then against false."""
+    return ([["pair", i, j] for i in range(width) for j in range(i + 1, width)]
+            + [["true", i] for i in range(width)]
+            + [["false", i] for i in range(width)])
+
+
+def test_standard_pairing_order():
+    for width in range(1, 7):
+        assert PairingTable.standard(width).to_json() == reference_items(width)
+    # Columns 3 and 4 of the augmented input [x, +1, -1] are true and false.
+    table = PairingTable.standard(3)
+    assert table.left_idx.tolist() == [0, 0, 1, 0, 1, 2, 0, 1, 2]
+    assert table.right_idx.tolist() == [1, 2, 2, 3, 3, 3, 4, 4, 4]
 
 
 def test_pairing_count_formula():
     for n in (2, 3, 5, 8):
-        assert len(enumerate_pairings(n)) == n * (n - 1) // 2 + 2 * n
+        assert PairingTable.standard(n).width_out == n * (n - 1) // 2 + 2 * n
 
 
 def test_pairing_validation():
-    with pytest.raises(ValueError):
-        Pairing("pair", 2, 1)
-    with pytest.raises(ValueError):
-        Pairing("pair", 1, None)
-    with pytest.raises(ValueError):
-        Pairing("true", 1, 2)
-    with pytest.raises(ValueError):
-        Pairing("xor", 0, 1)
+    for left, right in [
+        ([2], [1]),         # a pair out of order
+        ([1], [1]),         # an input paired with itself
+        ([-1], [3]),
+        ([0], [5]),         # past the false column
+        ([3], [4]),         # true against false reads no input
+        ([0, 1], [1]),      # index arrays of different lengths
+    ]:
+        with pytest.raises(ConfigurationError):
+            PairingTable(3, left, right)
     with pytest.raises(ConfigurationError):
-        enumerate_pairings(0)
+        PairingTable.standard(0)
 
 
 def test_pairing_table_operands_inject_signed_constants():
@@ -71,58 +79,71 @@ def test_pairing_table_operands_inject_signed_constants():
 
 @st.composite
 def pairing_layers(draw):
-    """A width, a pairing list in any order with constants mixed in, and
-    inputs plus slot gradients with one to three leading axes."""
+    """A width, a model-file pairing list in any order with constants mixed
+    in, and inputs plus slot gradients with one to three leading axes."""
     width = draw(st.integers(min_value=2, max_value=8))
-    pool = enumerate_pairings(width)
-    pairings = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3 * len(pool)))
+    pool = reference_items(width)
+    items = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3 * len(pool)))
     lead = tuple(draw(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=3)))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     x = rng.uniform(-1.0, 1.0, size=lead + (width,))
-    g = rng.normal(size=lead + (len(pairings),))
-    return width, pairings, x, g
+    g = rng.normal(size=lead + (len(items),))
+    return width, items, x, g
 
 
-def scatter_reference(width, pairings, g):
+def scatter_reference(width, items, g):
     out = np.zeros(g.shape[:-1] + (width,))
-    for s, p in enumerate(pairings):
-        out[..., p.i] += g[..., s]
-        if p.kind == "pair":    # a constant operand has no input to reach
-            out[..., p.j] += g[..., s]
+    for s, (kind, *indices) in enumerate(items):
+        # A constant operand has no input to reach.
+        for i in indices:
+            out[..., i] += g[..., s]
     return out
 
 
 @given(pairing_layers())
 def test_pairing_table_matches_per_slot_reference(layer):
-    width, pairings, x, g = layer
-    table = PairingTable(width, pairings)
+    width, items, x, g = layer
+    table = PairingTable.from_json(width, items)
+    assert table.to_json() == items
     left, right = table.operands(x)
     constant = {"true": 1.0, "false": -1.0}
-    for s, p in enumerate(pairings):
-        assert np.array_equal(left[..., s], x[..., p.i])
-        expected = x[..., p.j] if p.kind == "pair" else np.full(x.shape[:-1], constant[p.kind])
+    for s, (kind, i, *partner) in enumerate(items):
+        assert np.array_equal(left[..., s], x[..., i])
+        expected = x[..., partner[0]] if kind == "pair" else np.full(x.shape[:-1], constant[kind])
         assert np.array_equal(right[..., s], expected)
-    assert np.allclose(table.scatter(g), scatter_reference(width, pairings, g),
+    assert np.allclose(table.scatter(g), scatter_reference(width, items, g),
                        rtol=0.0, atol=1e-12)
     # Gradient on constant slots alone reaches only their left inputs.
-    only_constants = g * np.array([p.kind != "pair" for p in pairings])
+    only_constants = g * np.array([kind != "pair" for kind, *_ in items])
     assert np.allclose(table.scatter(only_constants),
-                       scatter_reference(width, pairings, only_constants),
+                       scatter_reference(width, items, only_constants),
                        rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("pairing", [
-    Pairing("pair", 0, 3), Pairing("pair", 1, 4), Pairing("true", 3), Pairing("false", -1),
+    ["pair", 0, 3], ["pair", 1, 4], ["true", 3], ["false", -1],
 ])
 def test_pairing_table_rejects_indices_outside_its_inputs(pairing):
     # Index 3 and 4 would read the constant columns of [x, +1, -1].
     with pytest.raises(ConfigurationError):
-        PairingTable(3, [Pairing("pair", 0, 1), pairing])
+        PairingTable.from_json(3, [["pair", 0, 1], pairing])
+
+
+@pytest.mark.parametrize("item", [
+    ["pair", 2, 1], ["pair", 1], ["pair", 1, None], ["true", 1, 2], ["xor", 0, 1],
+    ["pair", 0.5, 1], ["false", True], [], "pair",
+])
+def test_pairing_json_rejects_malformed_items(item):
+    with pytest.raises(ConfigurationError):
+        PairingTable.from_json(3, [["pair", 0, 1], item])
 
 
 def test_pairing_json_round_trip():
-    for p in enumerate_pairings(3):
-        assert Pairing.from_json(p.to_json()) == p
+    for width in (1, 3, 5):
+        table = PairingTable.standard(width)
+        again = PairingTable.from_json(width, table.to_json())
+        assert again.left_idx.tolist() == table.left_idx.tolist()
+        assert again.right_idx.tolist() == table.right_idx.tolist()
 
 
 # ----------------------------------------------------------- structure
@@ -282,19 +303,17 @@ def test_permuting_features_permutes_consistently():
     net = toy_net(feature_count=n, logic_parts=1)
     perm = np.array([2, 0, 1])     # sigma(i) = perm[i]
 
-    slots = enumerate_pairings(n)
-    slot_index = {(p.kind, p.i, p.j): s for s, p in enumerate(slots)}
+    slots = [tuple(item) for item in reference_items(n)]
+    slot_index = {item: s for s, item in enumerate(slots)}
 
-    def mapped_slot(p):
-        if p.kind == "pair":
-            a, b = sorted((perm[p.i], perm[p.j]))
-            return slot_index[("pair", a, b)]
-        return slot_index[(p.kind, perm[p.i], None)]
+    def mapped_slot(item):
+        kind, *indices = item
+        return slot_index[(kind, *sorted(int(perm[i]) for i in indices))]
 
     other = toy_net(feature_count=n, logic_parts=1)
-    for s, p in enumerate(slots):
-        other.alphas[0][mapped_slot(p)] = net.alphas[0][s]
-        other.selectors[0][:, mapped_slot(p)] = net.selectors[0][:, s]
+    for s, item in enumerate(slots):
+        other.alphas[0][mapped_slot(item)] = net.alphas[0][s]
+        other.selectors[0][:, mapped_slot(item)] = net.selectors[0][:, s]
     other.bump_version()
 
     x = rng.uniform(-1, 1, size=(16, n))
