@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from . import benchmark as bench
 from .data import load_csv, load_schema, relabel
-from .expressions import gate_depth, render, to_dict as expr_to_dict
+from .expressions import gate_depth, leaf_count, render, to_dict as expr_to_dict
 from .extraction import (
     ExtractionConfig,
     describe_expression,
@@ -210,43 +210,33 @@ def cmd_extract(args: argparse.Namespace) -> int:
             net.norm_low, net.norm_high, size=(samples, net.feature_count)
         )
     labels = leaf_labels(net, config)
-    report, exprs = [], []
+    report, lines = [], []
     for index in range(net.output_width):
         expr = trace_expression(net, config, index)
-        exprs.append(expr)
         omit, reason = should_omit(expr, config)
+        tree = expr_to_dict(expr)
         faith = faithfulness(net, expr, features, config, index)
         report.append({
             "output": index,
-            "expression": render(expr),
-            "named": describe_expression(expr, labels),
+            # Renderings spell out every path of the DAG; the tree does not.
+            "expression": None if omit else render(expr),
+            "named": None if omit else describe_expression(expr, labels),
             "omitted": omit,
             "reason": reason,
             "faithfulness": faith,
+            "tree": tree,
         })
-        if args.json:
-            report[-1]["tree"] = expr_to_dict(expr)
-    if args.json:
-        try:
-            # The indenting encoder is pure Python and recurses once per level.
-            text = json.dumps({"outputs": report, "leaf_labels": labels}, indent=2)
-        except RecursionError:
-            depths = [gate_depth(expr) for expr in exprs]
-            index = depths.index(max(depths))
-            raise ValueError(
-                f"output {index}: its tree nests {depths[index]} gates deep, too deep to"
-                " encode as JSON; run extract without --json for the text form"
-            ) from None
-        print(text)
-        return 0
-    for entry in report:
-        text = entry["named"] if args.leaf_names else entry["expression"]
-        if entry["omitted"]:
-            print(f"output {entry['output']}: omitted: {entry['reason']}"
-                  f" (would read: {text})")
+        if omit:
+            lines.append(f"output {index}: omitted: {reason} ({leaf_count(expr)} leaves,"
+                         f" {len(tree['nodes'])} distinct nodes, gate depth {gate_depth(expr)})")
         else:
-            print(f"output {entry['output']}: {text}"
-                  f"  [faithfulness {entry['faithfulness']:.4f}]")
+            text = report[-1]["named" if args.leaf_names else "expression"]
+            lines.append(f"output {index}: {text}  [faithfulness {faith:.4f}]")
+    if args.json:
+        print(json.dumps({"format_version": 2, "outputs": report, "leaf_labels": labels},
+                         indent=2))
+    else:
+        print("\n".join(lines))
     return 0
 
 

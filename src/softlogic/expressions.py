@@ -8,6 +8,8 @@ expressions.  Traced expressions are DAGs whose subtrees are shared along
 many paths; every consumer here walks through :func:`_fold`, which visits
 each distinct node once with an explicit stack, so cost grows with the
 distinct nodes, not the expanded tree, and no depth exhausts the stack.
+The serialized form, :func:`to_dict`, is a flat table of the distinct
+nodes in post-order; :func:`from_dict` reads it back in one forward loop.
 """
 
 from __future__ import annotations
@@ -268,33 +270,58 @@ def parse(text: str) -> LogicExpr:
     return expr
 
 
+_KINDS = {kind.symbol: kind for kind in OperatorKind}
+
+
 def to_dict(expr: LogicExpr) -> dict:
-    """JSON-ready tree; inverse of :func:`from_dict`.  A shared subtree
-    becomes one dict referenced from each of its parents."""
+    """Post-order node table ``{"nodes": [...], "root": id}`` of an
+    expression, inverse of :func:`from_dict`.  A node is ``["leaf",
+    slot]``, ``["const", truth]``, ``["not", id]`` or ``[symbol, alpha,
+    left_id, right_id]``, after its children.  Equal subtrees share one
+    id, so ``to_dict(a) == to_dict(b)`` exactly when ``a == b``."""
+    ids: dict[tuple, int] = {}
+
     def visit(node, children):
         if isinstance(node, Leaf):
-            return {"leaf": node.slot}
-        if isinstance(node, Const):
-            return {"const": node.truth}
-        if isinstance(node, Not):
-            return {"not": children[0]}
-        return {"op": node.kind.symbol, "alpha": node.alpha,
-                "left": children[0], "right": children[1]}
-    return _fold(expr, visit)
+            key = ("leaf", node.slot)
+        elif isinstance(node, Const):
+            key = ("const", node.truth)
+        elif isinstance(node, Not):
+            key = ("not", *children)
+        else:
+            key = (node.kind.symbol, node.alpha, *children)
+        return ids.setdefault(key, len(ids))
+
+    root = _fold(expr, visit)
+    return {"nodes": [list(key) for key in ids], "root": root}
 
 
 def from_dict(data: dict) -> LogicExpr:
-    if "leaf" in data:
-        return Leaf(int(data["leaf"]))
-    if "const" in data:
-        return Const(bool(data["const"]))
-    if "not" in data:
-        return Not(from_dict(data["not"]))
-    if "op" in data:
-        symbols = {k.symbol: k for k in OperatorKind}
-        kind = symbols.get(data["op"])
-        if kind is None:
-            raise ValueError(f"unknown operator symbol {data['op']!r}")
-        return Gate(kind, float(data["alpha"]),
-                    from_dict(data["left"]), from_dict(data["right"]))
-    raise ValueError(f"not an expression node: {data!r}")
+    """Inverse of :func:`to_dict`, one pass over the table.  A child or
+    root id must be an int naming an earlier node, a slot an int and a
+    truth value a bool; anything else raises ValueError."""
+    nodes = data.get("nodes") if isinstance(data, dict) else None
+    if not isinstance(nodes, list):
+        raise ValueError("an expression table needs a list of nodes")
+    built: list[LogicExpr] = []
+
+    def ref(node_id) -> LogicExpr:
+        if type(node_id) is not int or not 0 <= node_id < len(built):
+            raise ValueError(f"node id {node_id!r} names no earlier node")
+        return built[node_id]
+
+    for row in nodes:
+        tag, *args = row if isinstance(row, list) and row else [None]
+        if tag == "leaf" and len(args) == 1 and type(args[0]) is int:
+            node = Leaf(args[0])
+        elif tag == "const" and len(args) == 1 and type(args[0]) is bool:
+            node = Const(args[0])
+        elif tag == "not" and len(args) == 1:
+            node = Not(ref(args[0]))
+        elif (isinstance(tag, str) and tag in _KINDS and len(args) == 3
+              and type(args[0]) in (int, float)):
+            node = Gate(_KINDS[tag], args[0], ref(args[1]), ref(args[2]))
+        else:
+            raise ValueError(f"not an expression node: {row!r}")
+        built.append(node)
+    return ref(data.get("root"))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import (
-    Const, Gate, Leaf, LogicExpr, Not, _fold, _render, evaluate_crisp, leaf_count, render,
+    Const, Gate, Leaf, LogicExpr, Not, _render, evaluate_crisp, leaf_count, render, to_dict,
 )
 from .network import LogicNetwork
 from .operators import OperatorKind, classify_alpha, gate_crisp
@@ -171,24 +171,6 @@ class _Trace:
         return Gate(kind, alpha, left, right), gate_crisp(lv, rv, level)
 
 
-def _same_expr(a: LogicExpr, b: LogicExpr) -> bool:
-    """Structural equality of two expressions, as dataclass ``==`` decides
-    it, by hash-consing: equal subtrees get equal ids from one table, so
-    each distinct node of either expression is visited once."""
-    ids: dict = {}
-
-    def visit(node, children):
-        if isinstance(node, Gate):
-            key = (type(node), node.kind, node.alpha, *children)
-        elif isinstance(node, Not):
-            key = (type(node), *children)
-        else:    # leaves and constants are hashable values themselves
-            key = node
-        return ids.setdefault(key, len(ids))
-
-    return _fold(a, visit) == _fold(b, visit)
-
-
 def trace_expression(net: LogicNetwork,
                      config: ExtractionConfig = ExtractionConfig(),
                      output_index: int = 0) -> LogicExpr:
@@ -237,7 +219,7 @@ def faithfulness(net: LogicNetwork, expr: LogicExpr, features: np.ndarray,
         raise ValueError("faithfulness needs at least one row")
     leaves01 = (cache.gate_out[0] + 1.0) / 2.0
     traced, values = _Trace(net, config, leaves01).output(output_index)
-    if not _same_expr(traced, expr):
+    if to_dict(traced) != to_dict(expr):
         values = evaluate_crisp(expr, leaves01)
     expr_positive = values >= 0.5
     decisions = net.decide(outputs)

@@ -16,6 +16,7 @@ reading.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
@@ -69,10 +70,6 @@ class PairingTable:
                            & (right < width_in + 2))):
             raise ConfigurationError(f"pairing index outside the layer's {width_in} inputs")
         self.width_out = left.size
-        # A dense scatter map turns backward accumulation into one matmul;
-        # the constant columns are cut off, so constant operands map to zero.
-        eye = np.eye(width_in + 2)[:, :width_in]
-        self.scatter_map = eye[left] + eye[right]
 
     @classmethod
     def standard(cls, width_in: int) -> "PairingTable":
@@ -121,6 +118,16 @@ class PairingTable:
         # Fancy indexing, not take: the operands come out column-major, and
         # the selector matmul's rounding depends on that layout.
         return augmented[..., self.left_idx], augmented[..., self.right_idx]
+
+    @functools.cached_property
+    def scatter_map(self) -> np.ndarray:
+        """(slots, inputs) 0/1 map that turns backward accumulation into
+        one matmul, built on first use: part 0 never scatters.  Constant
+        operands have no column, so they map to zero."""
+        full = np.zeros((self.width_out, self.width_in + 2))
+        slots = np.arange(self.width_out)
+        full[slots, self.left_idx] = full[slots, self.right_idx] = 1.0
+        return np.ascontiguousarray(full[:, :self.width_in])
 
     def scatter(self, g: np.ndarray) -> np.ndarray:
         """Accumulate the operand gradient, which both operands of a slot
@@ -189,7 +196,16 @@ def fit_normalization(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # A single NaN would poison the bounds and silently zero out the
         # whole column; fail loudly instead.
         raise ValueError("features must be finite")
-    return arr.min(axis=0), arr.max(axis=0)
+    low, high = arr.min(axis=0), arr.max(axis=0)
+    if not _spans_finite(low, high):
+        raise ValueError("a feature's range overflows a float")
+    return low, high
+
+
+def _spans_finite(low: np.ndarray, high: np.ndarray) -> bool:
+    """Whether every feature's range ``high - low`` is a finite float."""
+    with np.errstate(over="ignore"):
+        return bool(np.all(np.isfinite(high - low)))
 
 
 class LogicNetwork:
@@ -235,9 +251,11 @@ class LogicNetwork:
     def normalize(self, features: np.ndarray) -> np.ndarray:
         span = self.norm_high - self.norm_low
         safe = np.where(span > 0, span, 1.0)
-        z = 2.0 * (features - self.norm_low) / safe - 1.0
-        z = np.where(span > 0, z, 0.0)
-        return np.clip(z, -1.0, 1.0)
+        # Clipping first keeps every intermediate within the finite span,
+        # so a feature far outside the bounds cannot overflow.
+        inside = np.clip(features, self.norm_low, self.norm_high)
+        z = (inside - self.norm_low) / safe * 2.0 - 1.0
+        return np.where(span > 0, z, 0.0)
 
     def forward(self, features: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
         """Run a batch through every layer, returning signed outputs and the
@@ -481,6 +499,8 @@ class LogicNetwork:
             raise ConfigurationError("normalization bounds must be finite")
         if not np.all(self.norm_low <= self.norm_high):
             raise ConfigurationError("normalization low bound exceeds high")
+        if not _spans_finite(self.norm_low, self.norm_high):
+            raise ConfigurationError("a normalization range overflows a float")
         for key, count in (("feature_names", self.feature_count),
                            ("label_names", self.class_count)):
             names = getattr(self, key)

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 import softlogic
 from softlogic.cli import main
 from softlogic.data import COLUMN_KINDS, generate_synthetic, numeric_schema, save_csv
-from softlogic.expressions import Gate, Leaf
+from softlogic.expressions import Gate, Leaf, from_dict, gate_depth, to_dict
+from softlogic.extraction import trace_expression
 from softlogic.network import LogicNetwork, NetworkConfig, build_network
 from softlogic.operators import OperatorKind
 
@@ -225,12 +226,21 @@ def test_extract_json_report_shape(tmp_path, corpus, capsys):
                  "--json"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == {"format_version", "outputs", "leaf_labels"}
+    assert payload["format_version"] == 2
     assert len(payload["outputs"]) == 1
     entry = payload["outputs"][0]
     assert set(entry) == {"output", "expression", "named", "omitted",
                           "reason", "faithfulness", "tree"}
     assert 0.0 <= entry["faithfulness"] <= 1.0
     assert len(payload["leaf_labels"]) == 9      # C(3,2) + 2*3 first slots
+    # The tree is the node table of the traced expression.
+    assert set(entry["tree"]) == {"nodes", "root"}
+    traced = trace_expression(LogicNetwork.load(model))
+    assert entry["tree"] == to_dict(traced)
+    assert from_dict(entry["tree"]) == traced
+    assert (entry["expression"] is None) == entry["omitted"]
+    assert (entry["named"] is None) == entry["omitted"]
 
 
 def test_extract_with_dataset_for_faithfulness(tmp_path, corpus, capsys):
@@ -602,6 +612,10 @@ def _edit(path, value=_DELETE):
     pytest.param(_edit(["squash", "smoothness"], 10**400), "",
                  id="squash-value-too-large-for-a-float"),
     pytest.param(_edit(["feature_count"], 10**30), "", id="feature-count-too-large"),
+    pytest.param(_edit(["feature_count"], 10**6), "", id="feature-count-of-a-million"),
+    pytest.param(lambda payload: payload["normalization"].update(low=[-1e308] * 3,
+                                                                 high=[1e308] * 3),
+                 "overflows", id="normalization-range-overflows"),
     pytest.param(_edit(["pairings", 0, 0], ["pair", -10**30, 1]), "",
                  id="pairing-index-too-large"),
     pytest.param(_edit(["pairings", 0, 0], ["false", 3]), "", id="constant-pairing-past-width"),
@@ -661,6 +675,98 @@ def test_any_model_file_ends_in_a_documented_exit_code(tmp_path, corpus, payload
     assert main(["extract", "--model", str(model), "--samples", "8"]) in (0, 2, 3, 4)
 
 
+# ------------------------------------------------------ fuzzed CSV files
+
+_CSV_SCHEMA = {"columns": [
+    {"name": "num", "kind": "numeric"},
+    {"name": "bin", "kind": "binary_categorical"},
+    {"name": "multi", "kind": "multi_categorical"},
+    {"name": "cat", "kind": "categorical"},
+    {"name": "y", "kind": "label"},
+]}
+_CELLS = ["", "?", "nan", "inf", "1e308", "-1e308", '"', "a,b", "\x00", "é"]
+
+
+def _csv_rows():
+    """60 valid rows, one cell per column of ``_CSV_SCHEMA``."""
+    return [[f"{i / 7:.3f}", "yn"[i % 2], "abc"[i % 3], "pqr"[i % 5 % 3],
+             "pos" if (i % 2 == 0) != (i % 3 == 0) else "neg"] for i in range(60)]
+
+
+def _write_rows(path, rows):
+    path.write_bytes("".join(",".join(row) + "\n" for row in rows).encode())
+
+
+@pytest.fixture(scope="module")
+def csv_fuzz_base(tmp_path_factory):
+    """The schema and a model trained on the unedited rows, for commands
+    on a file that training rejects."""
+    base = tmp_path_factory.mktemp("csv-fuzz")
+    schema, data, model = base / "schema.json", base / "clean.csv", base / "clean.json"
+    schema.write_text(json.dumps(_CSV_SCHEMA))
+    _write_rows(data, _csv_rows())
+    assert main(["train", "--data", str(data), "--schema", str(schema),
+                 "--out", str(model), "--max-epochs", "2"]) == 0
+    return schema, model
+
+
+@st.composite
+def _fuzzed_csv_rows(draw):
+    """The valid rows with one to three cells replaced by awkward values,
+    or with an extra column."""
+    rows = _csv_rows()
+    if draw(st.integers(0, 3)) == 0:
+        for row in rows:
+            row.append("x")
+        return rows
+    for _ in range(draw(st.integers(1, 3))):
+        row, column = draw(st.integers(0, 59)), draw(st.integers(0, 4))
+        rows[row][column] = draw(st.sampled_from(_CELLS))
+    return rows
+
+
+# Edited columns make the encoder warn about unknown categories.
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_fuzzed_csv_rows())
+def test_any_csv_file_ends_in_a_documented_exit_code(tmp_path, csv_fuzz_base, rows):
+    schema, clean_model = csv_fuzz_base
+    data, model = tmp_path / "fuzz.csv", tmp_path / "fuzz.json"
+    _write_rows(data, rows)
+    trained = main(["train", "--data", str(data), "--schema", str(schema),
+                    "--out", str(model), "--max-epochs", "2"])
+    assert trained in (0, 2, 3, 4)
+    model = model if trained == 0 else clean_model
+    given_data = ["--data", str(data), "--schema", str(schema)]
+    assert main(["eval", "--model", str(model), *given_data]) in (0, 2, 3, 4)
+    assert main(["extract", "--model", str(model), *given_data]) in (0, 2, 3, 4)
+
+
+def test_train_on_a_feature_range_that_overflows_exits_2(tmp_path, csv_fuzz_base, capsys):
+    schema, _ = csv_fuzz_base
+    rows = _csv_rows()
+    rows[0][0], rows[1][0] = "-1e308", "1e308"
+    data = tmp_path / "wide.csv"
+    _write_rows(data, rows)
+    assert main(["train", "--data", str(data), "--schema", str(schema),
+                 "--out", str(tmp_path / "wide.json")]) == 2
+    assert "overflows" in capsys.readouterr().err
+
+
+def test_a_feature_of_1e308_trains_evaluates_and_extracts(tmp_path, csv_fuzz_base):
+    # 2 * (1e308 - low) used to overflow in normalize.
+    schema, _ = csv_fuzz_base
+    rows = _csv_rows()
+    rows[0][0] = "1e308"
+    data, model = tmp_path / "far.csv", tmp_path / "far.json"
+    _write_rows(data, rows)
+    given_data = ["--data", str(data), "--schema", str(schema)]
+    assert main(["train", *given_data, "--out", str(model), "--max-epochs", "2"]) == 0
+    assert main(["eval", "--model", str(model), *given_data]) == 0
+    assert main(["extract", "--model", str(model), *given_data]) == 0
+
+
 @pytest.mark.parametrize("mode", [[], ["--json"]])
 def test_extract_with_zero_samples_exits_2(tmp_path, capsys, mode):
     model = saved_model(tmp_path)
@@ -673,36 +779,41 @@ def test_extract_with_zero_samples_exits_2(tmp_path, capsys, mode):
 @pytest.mark.parametrize("mode", [[], ["--json"]])
 def test_extract_renders_a_778_gate_fold(tmp_path, capsys, mode):
     # Every one of the 779 first-layer slots is kept, so the trace folds
-    # them into a left-nested chain of 778 gates.
+    # them into a left-nested chain of 778 gates; it is omitted as too
+    # long and reported by its size, not by a rendering.
     net = build_network(38, 2, NetworkConfig(logic_parts=1))
     net.selectors[0][:] = 1.0
     model = saved_model(tmp_path, net=net)
     assert main(["extract", "--model", str(model), "--samples", "50", *mode]) == 0
     out = capsys.readouterr().out
-    assert out.count("uni") >= 778
+    if mode:
+        entry = json.loads(out)["outputs"][0]
+        assert entry["expression"] is None and entry["named"] is None
+        assert len(entry["tree"]["nodes"]) == 779 + 778
+        assert gate_depth(from_dict(entry["tree"])) == 778
+    else:
+        assert out == ("output 0: omitted: too long"
+                       " (779 leaves, 1557 distinct nodes, gate depth 778)\n")
 
 
-def test_json_extract_of_a_tree_too_deep_to_encode_exits_2(tmp_path, capsys):
-    # The indenting JSON encoder recurses once per nesting level, so a
-    # 1079-gate fold cannot be encoded; the error names the output and its
-    # depth and points to text mode instead of printing a traceback.
+def test_json_extract_of_a_1079_gate_fold_is_a_small_table(tmp_path, capsys):
+    # The fold nests deeper than the recursion limit, too deep for a nested
+    # tree; its node table lists 2159 nodes and the report is about 190 kB.
     net = build_network(45, 2, NetworkConfig(logic_parts=1))
     net.selectors[0][:] = 1.0
     model = saved_model(tmp_path, net=net)
-    assert main(["extract", "--model", str(model), "--samples", "20", "--json"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "output 0: its tree nests 1079 gates deep" in captured.err
-    assert "without --json" in captured.err
+    assert main(["extract", "--model", str(model), "--samples", "20", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert len(out) < 250_000
+    tree = json.loads(out)["outputs"][0]["tree"]
+    assert len(tree["nodes"]) == 1080 + 1079
+    assert gate_depth(from_dict(tree)) == 1079
 
 
-def test_text_extract_never_builds_the_json_tree(tmp_path, capsys):
-    # A 1080-gate fold nests deeper than the recursion limit; text mode
-    # prints its rendering and must not convert it to a JSON tree.
+def test_text_extract_of_a_1079_gate_fold_prints_its_size(tmp_path, capsys):
     net = build_network(45, 2, NetworkConfig(logic_parts=1))
     net.selectors[0][:] = 1.0
     model = saved_model(tmp_path, net=net)
     assert main(["extract", "--model", str(model), "--samples", "20"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("output 0: omitted: too long (would read: ")
-    assert out.count("uni") >= 1079
+    assert capsys.readouterr().out == (
+        "output 0: omitted: too long (1080 leaves, 2159 distinct nodes, gate depth 1079)\n")

@@ -1,5 +1,7 @@
 """Expression trees: rendering, parsing, evaluation, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,6 +14,7 @@ from softlogic.expressions import (
     Not,
     canonical_form,
     evaluate_crisp,
+    _fold,
     from_dict,
     gate_depth,
     leaf_count,
@@ -19,7 +22,7 @@ from softlogic.expressions import (
     render,
     to_dict,
 )
-from softlogic.extraction import _same_expr, describe_expression, should_omit
+from softlogic.extraction import describe_expression, should_omit
 from softlogic.operators import OperatorKind, gate_crisp
 
 AND = OperatorKind.CONJUNCTION
@@ -246,7 +249,7 @@ def test_canonical_form_snaps_named_and_rounds_other():
     assert clean.right.alpha == pytest.approx(0.33)
 
 
-# --------------------------------------------------------- dict codec
+# ---------------------------------------------------------- node table
 
 
 @given(trees())
@@ -256,20 +259,91 @@ def test_dict_round_trip(expr):
 
 def test_dict_forms():
     expr = Gate(UNI, 0.5, Leaf(1), Not(Const(False)))
-    data = to_dict(expr)
-    assert data == {
-        "op": "uni", "alpha": 0.5,
-        "left": {"leaf": 1},
-        "right": {"not": {"const": False}},
+    assert to_dict(expr) == {
+        "nodes": [["leaf", 1], ["const", False], ["not", 1], ["uni", 0.5, 0, 2]],
+        "root": 3,
+    }
+    # Equal subtrees share one id even when they are distinct objects.
+    assert to_dict(Gate(AND, 1.0, Not(Leaf(0)), Not(Leaf(0)))) == {
+        "nodes": [["leaf", 0], ["not", 0], ["and", 1.0, 1, 1]],
+        "root": 2,
     }
 
 
 def test_from_dict_rejects_unknown_nodes():
     with pytest.raises(ValueError):
-        from_dict({"wat": 1})
+        from_dict({"nodes": [["wat", 1]], "root": 0})
     with pytest.raises(ValueError):
-        from_dict({"op": "xor", "alpha": 0.5,
-                   "left": {"leaf": 0}, "right": {"leaf": 1}})
+        from_dict({"nodes": [["leaf", 0], ["leaf", 1], ["xor", 0.5, 0, 1]], "root": 2})
+
+
+@pytest.mark.parametrize("table", [
+    None,
+    [],
+    {"root": 0},
+    {"nodes": {}, "root": 0},
+    {"nodes": [], "root": 0},
+    {"nodes": [["leaf", 0]]},
+    {"nodes": [["leaf", 0]], "root": 1},
+    {"nodes": [["leaf", 0]], "root": True},
+    {"nodes": [["leaf", 0]], "root": 0.0},
+    {"nodes": [["not", 0]], "root": 0},                       # refers to itself
+    {"nodes": [["not", 1], ["leaf", 0]], "root": 0},          # refers forward
+    {"nodes": [["leaf", 0], ["not", -1]], "root": 1},
+    {"nodes": [["leaf", 1.0]], "root": 0},
+    {"nodes": [["leaf", True]], "root": 0},
+    {"nodes": [["leaf", -1]], "root": 0},
+    {"nodes": [["const", 1]], "root": 0},
+    {"nodes": [["leaf", 0], ["and", 1.5, 0, 0]], "root": 1},
+    {"nodes": [["leaf", 0], ["and", True, 0, 0]], "root": 1},
+    {"nodes": [["leaf", 0], ["and", "1", 0, 0]], "root": 1},
+    {"nodes": [["leaf", 0], ["and", 1.0, 0]], "root": 1},
+    {"nodes": [[]], "root": 0},
+    {"nodes": [[["leaf"], 0]], "root": 0},
+    {"nodes": ["leaf"], "root": 0},
+], ids=repr)
+def test_from_dict_rejects_malformed_tables(table):
+    with pytest.raises(ValueError):
+        from_dict(table)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner),
+    max_leaves=4,
+)
+
+
+@st.composite
+def mutated_tables(draw):
+    """A valid table with a node dropped; a node, one of its fields or the
+    root replaced by an id forward or out of range or by any JSON value;
+    or a key removed."""
+    table = to_dict(draw(trees()))
+    nodes, size = table["nodes"], len(table["nodes"])
+    bad_ids = st.sampled_from([size, -1, 10**9]) | _json_values
+    action = draw(st.sampled_from(["drop", "node", "field", "root", "key"]))
+    if action == "drop":
+        del nodes[draw(st.integers(0, size - 1))]
+    elif action == "node":
+        nodes[draw(st.integers(0, size - 1))] = draw(_json_values)
+    elif action == "field":
+        index = draw(st.integers(0, size - 1))
+        row = nodes[index]
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.integers(index, size) | bad_ids)
+    elif action == "root":
+        table["root"] = draw(bad_ids)
+    else:
+        del table[draw(st.sampled_from(["nodes", "root"]))]
+    return table
+
+
+@given(mutated_tables())
+def test_a_mutated_table_raises_only_value_error(table):
+    try:
+        from_dict(json.loads(json.dumps(table)))
+    except ValueError:
+        pass
 
 
 # ------------------------------------------------------- shared subtrees
@@ -330,15 +404,23 @@ def _ref_evaluate_crisp(node, arr):
                       _ref_evaluate_crisp(node.right, arr), node.alpha)
 
 
-def _ref_to_dict(node):
-    if isinstance(node, Leaf):
-        return {"leaf": node.slot}
-    if isinstance(node, Const):
-        return {"const": node.truth}
-    if isinstance(node, Not):
-        return {"not": _ref_to_dict(node.child)}
-    return {"op": node.kind.symbol, "alpha": node.alpha,
-            "left": _ref_to_dict(node.left), "right": _ref_to_dict(node.right)}
+def _ref_to_dict(root):
+    nodes = []
+
+    def walk(node):
+        if isinstance(node, Leaf):
+            row = ["leaf", node.slot]
+        elif isinstance(node, Const):
+            row = ["const", node.truth]
+        elif isinstance(node, Not):
+            row = ["not", walk(node.child)]
+        else:
+            row = [node.kind.symbol, node.alpha, walk(node.left), walk(node.right)]
+        if row not in nodes:
+            nodes.append(row)
+        return nodes.index(row)
+
+    return {"nodes": nodes, "root": walk(root)}
 
 
 _ALPHAS = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 0.25, 0.255]),
@@ -387,7 +469,7 @@ def test_consumers_of_a_shared_dag_match_the_tree_walk(program, seed):
 
 
 @given(programs, st.one_of(st.none(), st.tuples(st.integers(min_value=0), _STEPS)))
-def test_same_expr_agrees_with_dataclass_equality(program, edit):
+def test_tables_agree_with_dataclass_equality(program, edit):
     # The second expression is built afresh, so it shares no node with the
     # first; an edit may change a node the root never reaches.
     other = list(program)
@@ -395,9 +477,19 @@ def test_same_expr_agrees_with_dataclass_equality(program, edit):
         index, step = edit
         other[1 + index % (len(other) - 1)] = step
     a, b = build_dag(program), build_dag(other)
-    assert _same_expr(a, b) == (a == b)
-    assert _same_expr(a, build_dag(program))
-    assert _same_expr(a, a)
+    assert (to_dict(a) == to_dict(b)) == (a == b)
+    assert to_dict(a) == to_dict(build_dag(program))
+
+
+@given(programs)
+def test_from_dict_shares_what_the_table_shares(program):
+    expr = build_dag(program)
+    table = to_dict(expr)
+    rebuilt = from_dict(json.loads(json.dumps(table)))
+    assert rebuilt == expr
+    ids = set()
+    _fold(rebuilt, lambda node, _: ids.add(id(node)))
+    assert len(ids) == len(table["nodes"])
 
 
 def _chain(depth):
@@ -414,15 +506,31 @@ def test_consumers_of_a_chain_deeper_than_the_recursion_limit():
     assert gate_depth(expr) == 5000
     assert gate_depth(Not(expr)) == 5000
 
-    clean, data, depth = canonical_form(expr), to_dict(expr), 0
+    clean, depth = canonical_form(expr), 0
     while isinstance(clean, Gate):
-        assert clean.alpha == 0.12 and data["alpha"] == 0.123
-        assert data["right"] == {"not": {"leaf": clean.right.child.slot}}
-        clean, data, depth = clean.left, data["left"], depth + 1
-    assert depth == 5000 and clean == Leaf(0) and data == {"leaf": 0}
+        assert clean.alpha == 0.12
+        clean, depth = clean.left, depth + 1
+    assert depth == 5000 and clean == Leaf(0)
 
     leaves = np.random.default_rng(0).uniform(size=(3, 3))
     expected = leaves[:, 0]
     for i in range(1, 5001):
         expected = gate_crisp(expected, 1.0 - leaves[:, i % 3], 0.123)
     assert evaluate_crisp(expr, leaves).tobytes() == expected.tobytes()
+
+
+def test_a_chain_deeper_than_the_recursion_limit_round_trips_through_json():
+    expr = _chain(5000)
+    table = to_dict(expr)
+    # Leaves 0, 1 and 2 and their negations, then one gate per level.
+    assert len(table["nodes"]) == 5006 and table["root"] == 5005
+    text = json.dumps(table, indent=2)
+    assert json.loads(text) == table
+    rebuilt = from_dict(json.loads(text))
+    assert to_dict(rebuilt) == table
+    node, depth = rebuilt, 0
+    while isinstance(node, Gate):
+        assert node.kind is OperatorKind.OTHER and node.alpha == 0.123
+        assert node.right == Not(Leaf((5000 - depth) % 3))
+        node, depth = node.left, depth + 1
+    assert depth == 5000 and node == Leaf(0)

@@ -471,8 +471,9 @@ def test_a_subtree_shared_along_2_to_the_200_paths_is_visited_once():
         g = Gate(UNI, 0.5, g, Not(g))
     assert leaf_count(g) == 2**200
     assert gate_depth(g) == 200
-    assert extraction._same_expr(g, canonical_form(g))
-    assert not extraction._same_expr(g, Gate(UNI, 0.5, g.left, g.left))
+    assert len(to_dict(g)["nodes"]) == 401
+    assert to_dict(g) == to_dict(canonical_form(g))
+    assert to_dict(g) != to_dict(Gate(UNI, 0.5, g.left, g.left))
     assert should_omit(g) == (True, "too long")
 
 

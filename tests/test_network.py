@@ -227,6 +227,20 @@ def test_normalize_maps_endpoints_and_clamps():
     assert z[3].tolist() == [-1.0, 1.0]   # out-of-range inputs clamp
 
 
+def test_normalize_a_feature_far_outside_wide_bounds_without_overflow():
+    net = toy_net(feature_count=2, logic_parts=1)
+    net.norm_low = np.array([0.0, -1e308])
+    net.norm_high = np.array([1.0, 1e307])
+    z = net.normalize(np.array([[1e308, -1e308], [-1e308, 1e308], [0.5, 0.0]]))
+    assert z[:, 0].tolist() == [1.0, -1.0, 0.0]
+    assert z[:2, 1].tolist() == [-1.0, 1.0]
+
+
+def test_fit_normalization_rejects_a_range_that_overflows_a_float():
+    with pytest.raises(ValueError, match="overflows"):
+        fit_normalization(np.array([[-1e308, 0.0], [1e308, 1.0]]))
+
+
 def test_normalize_degenerate_feature_goes_to_zero():
     net = toy_net(feature_count=2, logic_parts=1)
     net.norm_low = np.array([3.0, 0.0])

@@ -10,9 +10,9 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "softlogic"
 
-# ROADMAP item 6, still open: the readers of outside input (the JSON tree
-# codec and the recursive-descent text parser) recurse per nesting level.
-ALLOWED = {"expressions.from_dict"}
+# ROADMAP item 6, still open: the recursive-descent text parser recurses
+# per nesting level.  The JSON tree codec reads a flat node table.
+ALLOWED: set[str] = set()
 ALLOWED_PREFIXES = ("expressions._Parser.",)
 
 
