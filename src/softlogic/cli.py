@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import sys
@@ -242,9 +243,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
     opt = _Options(args)
-    settings = dict(seeds=opt.get("seeds", 5),
-                    test_fraction=opt.get("test_fraction", 0.30),
-                    hidden_width=opt.get("hidden_width", 8))
+    defaults = inspect.signature(bench.run_benchmark).parameters
+    settings = {name: opt.get(name, defaults[name].default)
+                for name in ("seeds", "test_fraction", "hidden_width")}
     opt.check_all_read()
     rows = bench.run_benchmark(data_dir=args.data_dir, keys=args.only or None, **settings)
     bench.write_benchmark_csv(rows, args.out)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -86,14 +86,7 @@ class Dataset:
 
     def take(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.intp)
-        return Dataset(
-            features=self.features[idx],
-            labels=self.labels[idx],
-            feature_names=self.feature_names,
-            class_count=self.class_count,
-            label_names=self.label_names,
-            encoding_report=self.encoding_report,
-        )
+        return replace(self, features=self.features[idx], labels=self.labels[idx])
 
 
 def load_schema(path: str | Path) -> list[ColumnSchema]:
@@ -357,14 +350,8 @@ def relabel(dataset: Dataset, label_names: list[str]) -> Dataset:
             f"label {exc.args[0]!r} not among the reference labels"
             f" {label_names}"
         ) from None
-    return Dataset(
-        features=dataset.features,
-        labels=mapping[dataset.labels],
-        feature_names=dataset.feature_names,
-        class_count=len(label_names),
-        label_names=list(label_names),
-        encoding_report=dataset.encoding_report,
-    )
+    return replace(dataset, labels=mapping[dataset.labels], class_count=len(label_names),
+                   label_names=list(label_names))
 
 
 def generate_synthetic(expr: LogicExpr, feature_count: int, rows: int,

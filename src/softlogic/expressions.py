@@ -8,12 +8,16 @@ expressions.  Traced expressions are DAGs whose subtrees are shared along
 many paths; every consumer here walks through :func:`_fold`, which visits
 each distinct node once with an explicit stack, so cost grows with the
 distinct nodes, not the expanded tree, and no depth exhausts the stack.
-The serialized form, :func:`to_dict`, is a flat table of the distinct
-nodes in post-order; :func:`from_dict` reads it back in one forward loop.
+``_fold`` is the one graph walk of this module and of extraction, whose
+selector trace runs on it too.  :func:`parse` reads the rendered text in
+one loop over its tokens with a stack of open brackets.  The serialized
+form, :func:`to_dict`, is a flat table of the distinct nodes in
+post-order; :func:`from_dict` reads it back in one forward loop.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -80,35 +84,38 @@ class Not:
 LogicExpr = Union[Leaf, Const, Gate, Not]
 
 
-def _fold(expr: LogicExpr, visit):
-    """``visit(node, child_values)`` on every distinct node, children first,
-    left before right; returns the root's value.
+def _operands(node: LogicExpr) -> tuple:
+    if isinstance(node, Gate):
+        return node.left, node.right
+    if isinstance(node, Not):
+        return (node.child,)
+    if isinstance(node, (Leaf, Const)):
+        return ()
+    raise TypeError(f"not a LogicExpr: {node!r}")
 
-    Nodes are memoized by identity, so a subtree shared along several paths
-    is visited once, and the walk keeps an explicit stack, so no nesting
-    depth exhausts the recursion limit.  This is the one tree walk every
-    consumer of a :data:`LogicExpr` is written over.
+
+def _fold(root, visit, children=_operands, key=id):
+    """``visit(node, child_values)`` on every distinct node below ``root``,
+    children first in ``children(node)`` order; returns the root's value.
+
+    Nodes are memoized by ``key`` (a :data:`LogicExpr`'s by identity), so a
+    node reached along several paths is expanded and visited once, and an
+    explicit stack means no depth exhausts the recursion limit.  This is
+    the package's one graph walk.
     """
-    values: dict[int, object] = {}
-    stack: list = [(expr, False)]
+    values: dict = {}
+    stack: list = [(root, None)]
     while stack:
-        node, expanded = stack.pop()
-        if id(node) in values:
+        node, kids = stack.pop()
+        if key(node) in values:
             continue
-        if isinstance(node, Gate):
-            children = (node.left, node.right)
-        elif isinstance(node, Not):
-            children = (node.child,)
-        elif isinstance(node, (Leaf, Const)):
-            children = ()
+        if kids is None:
+            kids = children(node)
+            stack.append((node, kids))
+            stack += [(kid, None) for kid in reversed(kids)]
         else:
-            raise TypeError(f"not a LogicExpr: {node!r}")
-        if expanded:
-            values[id(node)] = visit(node, [values[id(c)] for c in children])
-        else:
-            stack.append((node, True))
-            stack += [(c, False) for c in reversed(children)]
-    return values[id(expr)]
+            values[key(node)] = visit(node, [values[key(kid)] for kid in kids])
+    return values[key(root)]
 
 
 def render(expr: LogicExpr) -> str:
@@ -187,90 +194,56 @@ def evaluate_crisp(expr: LogicExpr, leaves) -> np.ndarray:
     return _fold(expr, visit)
 
 
-class _Parser:
-    """Recursive-descent reader for the rendered grammar."""
+_KINDS = {kind.symbol: kind for kind in OperatorKind}
+_TOKEN = re.compile(r"1-\(|\((\d+)\)|[()01]| (or|uni|and|op\[([^\]]*)\]) ")
 
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
 
-    def error(self, message: str) -> ValueError:
-        return ValueError(f"parse error at {self.pos}: {message}")
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, token: str) -> None:
-        if not self.text.startswith(token, self.pos):
-            raise self.error(f"expected {token!r}")
-        self.pos += len(token)
-
-    def parse_expr(self) -> LogicExpr:
-        left = self.parse_atom()
-        if self.text.startswith(" ", self.pos):
-            self.expect(" ")
-            kind, alpha = self.parse_op()
-            self.expect(" ")
-            right = self.parse_atom()
-            return Gate(kind, alpha, left, right)
-        return left
-
-    def parse_op(self) -> tuple[OperatorKind, float]:
-        for kind in (OperatorKind.DISJUNCTION, OperatorKind.AGGREGATIVE,
-                     OperatorKind.CONJUNCTION):
-            if self.text.startswith(kind.symbol, self.pos):
-                self.pos += len(kind.symbol)
-                return kind, kind.canonical_alpha
-        if self.text.startswith("op[", self.pos):
-            self.pos += 3
-            end = self.text.find("]", self.pos)
-            if end < 0:
-                raise self.error("unterminated op[")
-            alpha = float(self.text[self.pos:end])
-            self.pos = end + 1
-            return classify_alpha(alpha, tolerance=0.0), alpha
-        raise self.error("expected an operator token")
-
-    def parse_atom(self) -> LogicExpr:
-        ch = self.peek()
-        if ch == "1":
-            if self.text.startswith("1-(", self.pos):
-                self.pos += 3
-                inner = self.parse_expr()
-                self.expect(")")
-                return Not(inner)
-            self.pos += 1
-            return Const(True)
-        if ch == "0":
-            self.pos += 1
-            return Const(False)
-        if ch == "(":
-            self.pos += 1
-            if self.peek().isdigit():
-                start = self.pos
-                while self.peek().isdigit():
-                    self.pos += 1
-                if self.peek() == ")":
-                    self.pos += 1
-                    return Leaf(int(self.text[start:self.pos - 1]))
-                # Not a bare index after all; reparse as a nested expression.
-                self.pos = start
-            inner = self.parse_expr()
-            self.expect(")")
-            return inner
-        raise self.error("expected an atom")
+def _closed(frame: list) -> LogicExpr:
+    """Expression of a complete :func:`parse` frame."""
+    negated, left, *rest = frame
+    expr = Gate(*rest[0], left, rest[1]) if rest else left
+    return Not(expr) if negated else expr
 
 
 def parse(text: str) -> LogicExpr:
-    """Inverse of :func:`render` on canonical-form trees."""
-    parser = _Parser(text)
-    expr = parser.parse_expr()
-    if parser.pos != len(text):
-        raise parser.error("trailing input")
-    return expr
+    """Inverse of :func:`render` on canonical-form trees.
 
-
-_KINDS = {kind.symbol: kind for kind in OperatorKind}
+    One pass over the tokens with a stack of open brackets: each frame is
+    ``[negated, left, (kind, alpha), right]``, filled as far as read, and a
+    closing bracket turns the top frame into an operand of the one below.
+    """
+    stack: list[list] = [[False]]
+    pos = 0
+    while pos < len(text):
+        match = _TOKEN.match(text, pos)
+        if match is None:
+            raise ValueError(f"parse error at {pos}: unexpected input")
+        token, slot, symbol, level = match.group(0, 1, 2, 3)
+        frame = stack[-1]
+        if symbol:
+            if len(frame) != 2:
+                raise ValueError(f"parse error at {pos}: unexpected operator")
+            if level is None:
+                kind = _KINDS[symbol]
+                frame.append((kind, kind.canonical_alpha))
+            else:
+                alpha = float(level)
+                frame.append((classify_alpha(alpha, tolerance=0.0), alpha))
+        elif token == ")":
+            if len(stack) == 1 or len(frame) % 2:
+                raise ValueError(f"parse error at {pos}: unexpected ')'")
+            stack.pop()
+            stack[-1].append(_closed(frame))
+        elif len(frame) % 2 == 0:
+            raise ValueError(f"parse error at {pos}: expected an operator")
+        elif token.endswith("("):
+            stack.append([token == "1-("])
+        else:
+            frame.append(Leaf(int(slot)) if slot else Const(token == "1"))
+        pos = match.end()
+    if len(stack) > 1 or len(stack[0]) % 2:
+        raise ValueError(f"parse error at {pos}: unexpected end of input")
+    return _closed(stack[0])
 
 
 def to_dict(expr: LogicExpr) -> dict:

@@ -9,7 +9,9 @@ their operand in negation.  Gate slots in later logic parts become
 two-operand gate nodes; the walk bottoms out at the first pairing layer,
 whose slot indices are the expression's leaves.  Each selector row is
 traced once: rows reached along several paths share one subtree, so the
-expression is a DAG of frozen nodes.
+expression is a DAG of frozen nodes.  The trace runs on
+``expressions._fold``, the one graph walk, so no depth of parts
+exhausts the stack.
 
 Faithfulness compares the expression's crisp decisions with the full
 network's.  The walk that builds the expression also computes its crisp
@@ -26,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import (
-    Const, Gate, Leaf, LogicExpr, Not, _render, evaluate_crisp, leaf_count, render, to_dict,
+    Const, Gate, Leaf, LogicExpr, Not, _fold, _render, evaluate_crisp, leaf_count, render,
+    to_dict,
 )
 from .network import LogicNetwork
 from .operators import OperatorKind, classify_alpha, gate_crisp
@@ -112,63 +115,62 @@ def _kept_indices(row: np.ndarray, keep_ratio: float) -> np.ndarray:
     return idx[np.lexsort((idx, -strength[idx]))]
 
 
-class _Trace:
-    """One backward walk over the selectors.  ``selector(part, row)`` is
-    the row's expression and its crisp values on ``leaves01`` (rows,
-    first-layer slots), computed as the network computes them.  Each row is
-    traced once; every path reaching it shares its subtree and values."""
+def _trace(net: LogicNetwork, config: ExtractionConfig, leaves01: np.ndarray,
+           output_index: int) -> tuple[LogicExpr, np.ndarray]:
+    """Expression of one output and its crisp values on ``leaves01`` (rows,
+    first-layer slots), computed as the network computes them, by a
+    :func:`_fold` over ``("row", part, row)`` and ``("slot", part, slot,
+    negated)`` nodes.  Nodes are memoized by value, so every path reaching
+    a row shares its subtree and values."""
+    if not (0 <= output_index < net.output_width):
+        raise ValueError(f"output_index {output_index} outside {net.output_width} outputs")
+    rows = leaves01.shape[0]
 
-    def __init__(self, net: LogicNetwork, config: ExtractionConfig,
-                 leaves01: np.ndarray):
-        self.net, self.config, self.leaves01 = net, config, leaves01
-        self.memo: dict[tuple[int, int], tuple[LogicExpr, np.ndarray]] = {}
-
-    def output(self, index: int) -> tuple[LogicExpr, np.ndarray]:
-        if not (0 <= index < self.net.output_width):
-            raise ValueError(f"output_index {index} outside {self.net.output_width} outputs")
-        return self.selector(len(self.net.selectors) - 1, index)
-
-    def selector(self, part: int, row_index: int) -> tuple[LogicExpr, np.ndarray]:
-        key = (part, row_index)
-        if key not in self.memo:
-            row = self.net.selectors[part][row_index]
-            kept = _kept_indices(row, self.config.weight_keep_ratio)
-            expr, value = Const(True), np.ones(self.leaves01.shape[0])
-            for n, slot in enumerate(kept):
-                node, v = self.slot(part, int(slot))
-                if row[slot] < 0:
-                    node, v = Not(node), 1.0 - v
-                if n == 0:
-                    expr, value = node, v
-                else:
-                    expr = Gate(OperatorKind.AGGREGATIVE, 0.5, expr, node)
-                    value = gate_crisp(value, v, 0.5)
-            self.memo[key] = expr, value
-        return self.memo[key]
-
-    def operand(self, part: int, index: int) -> tuple[LogicExpr, np.ndarray]:
-        """A gate operand in ``part``: a row of the previous selector behind
-        the between-part tanh remap (on [0, 1] values), or a constant of the
-        augmented input."""
-        width = self.net.pairing_tables[part].width_in
-        if index >= width:
-            truth = index == width
-            return Const(truth), np.full(self.leaves01.shape[0], float(truth))
-        expr, value = self.selector(part - 1, index)
-        if isinstance(expr, Const):
-            return expr, value
-        return expr, (np.tanh(2.0 * value - 1.0) + 1.0) / 2.0
-
-    def slot(self, part: int, slot: int) -> tuple[LogicExpr, np.ndarray]:
+    def children(node):
+        part, index = node[1], node[2]
+        if node[0] == "row":
+            row = net.selectors[part][index]
+            return [("slot", part, int(s), bool(row[s] < 0))
+                    for s in _kept_indices(row, config.weight_keep_ratio)]
         if part == 0:
-            return Leaf(slot), self.leaves01[:, slot]
-        table = self.net.pairing_tables[part]
-        alpha = float(self.net.alphas[part][slot])
-        kind = classify_alpha(alpha, self.config.alpha_tolerance)
-        left, lv = self.operand(part, int(table.left_idx[slot]))
-        right, rv = self.operand(part, int(table.right_idx[slot]))
-        level = alpha if kind.canonical_alpha is None else kind.canonical_alpha
-        return Gate(kind, alpha, left, right), gate_crisp(lv, rv, level)
+            return ()
+        table = net.pairing_tables[part]
+        return [("row", part - 1, int(i))
+                for i in (table.left_idx[index], table.right_idx[index]) if i < table.width_in]
+
+    def visit(node, values):
+        if node[0] == "row":
+            if not values:
+                return Const(True), np.ones(rows)
+            expr, value = values[0]
+            for term, v in values[1:]:
+                expr = Gate(OperatorKind.AGGREGATIVE, 0.5, expr, term)
+                value = gate_crisp(value, v, 0.5)
+            return expr, value
+        _, part, slot, negated = node
+        if part == 0:
+            expr, value = Leaf(slot), leaves01[:, slot]
+        else:
+            # Gate operands: a previous row behind the between-part tanh
+            # remap (on [0, 1] values), or a constant of the augmented input.
+            table, traced, operands = net.pairing_tables[part], iter(values), []
+            for index in (table.left_idx[slot], table.right_idx[slot]):
+                if index < table.width_in:
+                    term, v = next(traced)
+                else:
+                    term = Const(bool(index == table.width_in))
+                    v = np.full(rows, float(term.truth))
+                operands.append((term, v if isinstance(term, Const)
+                                 else (np.tanh(2.0 * v - 1.0) + 1.0) / 2.0))
+            (left, lv), (right, rv) = operands
+            alpha = float(net.alphas[part][slot])
+            kind = classify_alpha(alpha, config.alpha_tolerance)
+            level = alpha if kind.canonical_alpha is None else kind.canonical_alpha
+            expr, value = Gate(kind, alpha, left, right), gate_crisp(lv, rv, level)
+        return (Not(expr), 1.0 - value) if negated else (expr, value)
+
+    root = ("row", len(net.selectors) - 1, output_index)
+    return _fold(root, visit, children, key=tuple)
 
 
 def trace_expression(net: LogicNetwork,
@@ -180,7 +182,7 @@ def trace_expression(net: LogicNetwork,
     for can be looked up with :func:`leaf_labels`.
     """
     leaves01 = np.zeros((0, net.pairing_tables[0].width_out))
-    return _Trace(net, config, leaves01).output(output_index)[0]
+    return _trace(net, config, leaves01, output_index)[0]
 
 
 def should_omit(expr: LogicExpr,
@@ -218,15 +220,11 @@ def faithfulness(net: LogicNetwork, expr: LogicExpr, features: np.ndarray,
     if len(outputs) == 0:
         raise ValueError("faithfulness needs at least one row")
     leaves01 = (cache.gate_out[0] + 1.0) / 2.0
-    traced, values = _Trace(net, config, leaves01).output(output_index)
+    traced, values = _trace(net, config, leaves01, output_index)
     if to_dict(traced) != to_dict(expr):
         values = evaluate_crisp(expr, leaves01)
     expr_positive = values >= 0.5
-    decisions = net.decide(outputs)
-    if net.class_count == 2:
-        net_positive = decisions == 1 if output_index == 0 else decisions == 0
-    else:
-        net_positive = decisions == output_index
+    net_positive = net.decide(outputs) == (1 if net.class_count == 2 else output_index)
     return float(np.mean(expr_positive == net_positive))
 
 

@@ -82,7 +82,7 @@ class SquashParams:
 
 
 def _check_finite(x: np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError(f"{name} must be finite")
 
 
@@ -91,7 +91,7 @@ def cut(x):
     arr = np.asarray(x, dtype=float)
     _check_finite(arr, "x")
     out = np.clip(arr, 0.0, 1.0)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    return float(out) if arr.ndim == 0 else out
 
 
 def squash(x, params: SquashParams = SquashParams()):
@@ -113,7 +113,7 @@ def squash(x, params: SquashParams = SquashParams()):
     lo = beta * (arr - (a - lam / 2.0))
     hi = beta * (arr - (a + lam / 2.0))
     out = (np.logaddexp(0.0, lo) - np.logaddexp(0.0, hi)) / (lam * beta)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    return float(out) if arr.ndim == 0 else out
 
 
 def squash_grad(x, params: SquashParams = SquashParams()):
@@ -131,7 +131,7 @@ def squash_grad(x, params: SquashParams = SquashParams()):
     lo = (beta / 2.0) * (arr - (a - lam / 2.0))
     hi = (beta / 2.0) * (arr - (a + lam / 2.0))
     out = (np.tanh(lo) - np.tanh(hi)) / (2.0 * lam)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    return float(out) if arr.ndim == 0 else out
 
 
 def _identity(t):

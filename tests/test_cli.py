@@ -296,6 +296,14 @@ def test_benchmark_only_filter(tmp_path, capsys):
     assert rows[1].startswith("vote,SKIPPED")
 
 
+def test_benchmark_config_value_of_the_wrong_type_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seeds": 2.5}))
+    assert main(["benchmark", "--data-dir", str(tmp_path), "--out", str(tmp_path / "b.csv"),
+                 "--config", str(cfg)]) == 2
+    assert "'seeds' must be an integer" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------ plot data
 
 
@@ -817,3 +825,20 @@ def test_text_extract_of_a_1079_gate_fold_prints_its_size(tmp_path, capsys):
     assert main(["extract", "--model", str(model), "--samples", "20"]) == 0
     assert capsys.readouterr().out == (
         "output 0: omitted: too long (1080 leaves, 2159 distinct nodes, gate depth 1079)\n")
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_extract_of_a_400_part_model_exits_0(tmp_path, capsys, mode):
+    # Each part's trace reaches the previous part's rows, so the walk runs
+    # far deeper than the recursion limit.
+    net = build_network(2, 2, NetworkConfig(hidden_width=2, logic_parts=400))
+    model = saved_model(tmp_path, net=net)
+    assert main(["extract", "--model", str(model), "--samples", "20", *mode]) == 0
+    out = capsys.readouterr().out
+    if mode:
+        tree = json.loads(out)["outputs"][0]["tree"]
+        assert len(tree["nodes"]) == 4218
+        assert gate_depth(from_dict(tree)) == 1365
+    else:
+        assert out.startswith("output 0: omitted: too long (")
+        assert out.endswith(" leaves, 4218 distinct nodes, gate depth 1365)\n")

@@ -131,7 +131,8 @@ def test_parse_round_trips_handwritten_forms():
 
 def test_parse_rejects_malformed():
     for text in ["", "(0", "(0) and", "(0) nand (1)", "(0) and (1) extra",
-                 "(0) op[0.3 (1)", "()"]:
+                 "(0) op[0.3 (1)", "()", "1-(", ")", "(0))", "(0) and (1) and (2)",
+                 "(0) and and (1)", "(0)(1)"]:
         with pytest.raises(ValueError):
             parse(text)
 
@@ -534,3 +535,12 @@ def test_a_chain_deeper_than_the_recursion_limit_round_trips_through_json():
         assert node.right == Not(Leaf((5000 - depth) % 3))
         node, depth = node.left, depth + 1
     assert depth == 5000 and node == Leaf(0)
+
+
+def test_a_chain_deeper_than_the_recursion_limit_round_trips_through_text():
+    right = Leaf(0)
+    for i in range(1, 5001):
+        right = Not(Gate(AND, 1.0, Leaf(i), right)) if i % 2 else Gate(OR, 0.0, Const(True), right)
+    for expr in (canonical_form(_chain(5000)), right):
+        # Compared as tables: dataclass equality recurses once per level.
+        assert to_dict(parse(render(expr))) == to_dict(expr)
