@@ -207,9 +207,11 @@ def cmd_extract(args: argparse.Namespace) -> int:
     else:
         # No data given: sample the raw feature box the model was fitted on.
         rng = np.random.default_rng(seed)
-        features = rng.uniform(
-            net.norm_low, net.norm_high, size=(samples, net.feature_count)
-        )
+        try:
+            features = rng.uniform(net.norm_low, net.norm_high,
+                                   size=(samples, net.feature_count))
+        except MemoryError as exc:
+            raise ValueError(f"--samples {samples}: {exc}") from exc
     labels = leaf_labels(net, config)
     report, lines = [], []
     for index in range(net.output_width):
@@ -347,8 +349,9 @@ def main(argv=None) -> int:
     except TrainingDivergedError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"missing input: {exc}", file=sys.stderr)
+    except OSError as exc:      # missing, a directory, unreadable; names the path
+        kind = "missing input" if isinstance(exc, FileNotFoundError) else "unusable path"
+        print(f"{kind}: {exc}", file=sys.stderr)
         return 2
     # DataError and ConfigurationError are ValueErrors; anything else in the
     # family means a flag or file carried an unusable value.

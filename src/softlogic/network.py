@@ -31,6 +31,7 @@ __all__ = [
     "ShapeMismatchError",
     "StaleCacheError",
     "PairingTable",
+    "PreparedRows",
     "NetworkConfig",
     "ForwardCache",
     "Gradients",
@@ -133,6 +134,26 @@ class PairingTable:
         """Accumulate the operand gradient, which both operands of a slot
         share, back onto the layer's inputs."""
         return g @ self.scatter_map
+
+
+class PreparedRows:
+    """Part 0's input for normalized rows, built once and gathered per
+    minibatch: the unit-domain augmented input ``([x, +1, -1] + 1) / 2``,
+    (rows, features + 2), or for few distinct values the augmented
+    columns' level codes, (features + 2, rows), the distinct unit-domain
+    operand sums and, per (left, right) code pair, the flat offset of its
+    sum's row in a (sums, slots) table."""
+
+    __slots__ = ("unit", "codes", "sums", "offsets")
+
+    def __init__(self, unit=None, codes=None, sums=None, offsets=None):
+        self.unit, self.codes, self.sums, self.offsets = unit, codes, sums, offsets
+
+    def __getitem__(self, idx) -> "PreparedRows":
+        """The prepared input of rows ``idx``."""
+        if self.codes is None:
+            return PreparedRows(self.unit[idx])
+        return PreparedRows(None, self.codes[:, idx], self.sums, self.offsets)
 
 
 @dataclass(frozen=True)
@@ -269,35 +290,63 @@ class LogicNetwork:
             )
         return self.forward_normalized(self.normalize(arr))
 
-    def forward_normalized(self, rows: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-        """:meth:`forward` for rows already mapped by :meth:`normalize`;
-        unchecked, for callers that normalize a whole dataset once."""
-        cache = ForwardCache(
-            version=self._version,
-            gate_pre=[], gate_codes=[], gate_out=[], sel_pre=[], tanh_out=[],
-            outputs=np.empty(0),
-        )
+    def forward_normalized(self, rows) -> tuple[np.ndarray, ForwardCache]:
+        """:meth:`forward` for rows already mapped by :meth:`normalize`, or
+        for rows of what :meth:`prepare` returns; unchecked, for callers
+        that normalize a whole dataset once."""
+        if not isinstance(rows, PreparedRows):
+            rows = self.prepare(rows)
+        cache = ForwardCache(self._version, [], [], [], [], [], outputs=np.empty(0))
         cache.outputs = self._run_parts(rows, 0, cache)
         return cache.outputs, cache
 
-    def _run_parts(self, x: np.ndarray, first: int,
-                   cache: ForwardCache | None = None) -> np.ndarray:
-        """Signed inputs of part ``first`` through that part and every later
-        one; leading axes of ``x`` beyond the row axis pass through.
-        Activations are appended to ``cache`` when one is given.  Part 0
-        evaluates its gates once per distinct operand sum and gathers them
-        per row when :meth:`_gate_table` finds few distinct inputs."""
+    def prepare(self, rows: np.ndarray, batch: int | None = None) -> PreparedRows:
+        """Part 0's input for normalized ``rows`` that are run ``batch`` rows
+        at a time (default: all at once).  Part 0 evaluates its gates once
+        per distinct operand sum and gathers them per row when the rows take
+        so few distinct values ``n`` that ``n * (n + 2)`` operand pairs are
+        fewer than a batch's rows."""
+        batch = rows.shape[0] if batch is None else min(batch, rows.shape[0])
+        probe = math.isqrt(batch)
+        # A table needs n < probe; a set over probe entries rejects
+        # continuous data before the sort in np.unique.
+        if rows.ndim == 2 and len(set(rows.flat[:probe].tolist())) < probe:
+            levels, inverse = np.unique(rows, return_inverse=True)
+            n = levels.size
+            if n * (n + 2) < batch:
+                unit = (np.concatenate([levels, (1.0, -1.0)]) + 1.0) / 2.0
+                sums, sum_idx = np.unique(unit[:n, None] + unit, return_inverse=True)
+                # return_inverse's shape varies across numpy versions.
+                codes = np.empty((rows.shape[1] + 2, rows.shape[0]), dtype=np.intp)
+                codes[:-2] = inverse.reshape(rows.shape).T
+                codes[-2:] = [[n], [n + 1]]
+                offsets = sum_idx.reshape(n, n + 2) * self.pairing_tables[0].width_out
+                return PreparedRows(None, codes, sums, offsets)
+        augmented = np.empty(rows.shape[:-1] + (rows.shape[-1] + 2,))
+        augmented[..., :-2] = rows
+        augmented[..., -2:] = (1.0, -1.0)
+        return PreparedRows((augmented + 1.0) / 2.0)
+
+    def _run_parts(self, x, first: int, cache: ForwardCache | None = None) -> np.ndarray:
+        """Part ``first`` and every later one, from the signed inputs
+        ``x`` of part ``first`` or, when ``first`` is 0, from :meth:`prepare`'s
+        rows; leading axes of ``x`` beyond the row axis pass through.
+        Activations are appended to ``cache`` when one is given."""
         parts = len(self.pairing_tables)
         for p in range(first, parts):
-            table = self._gate_table(x) if p == 0 else None
-            if table is None:
-                left, right = self.pairing_tables[p].operands(x)
+            table, codes = self.pairing_tables[p], None
+            if p > 0:
+                left, right = table.operands(x)
                 # Gates evaluate on [0, 1]; layers exchange signed values.
                 t = (left + 1.0) / 2.0 + (right + 1.0) / 2.0 - self.alphas[p]
-                codes = None
+            elif x.codes is None:
+                t = x.unit[..., table.left_idx] + x.unit[..., table.right_idx] - self.alphas[0]
             else:
-                sums, codes = table
-                t = sums[:, None] - self.alphas[p]
+                # Flat (slots, rows) indices into the (sums, slots) table, by
+                # way of each (left, right) code pair; no index array outlives this.
+                codes = x.codes[table.left_idx] * x.offsets.shape[1] + x.codes[table.right_idx]
+                codes = x.offsets.ravel()[codes] + np.arange(table.width_out)[:, None]
+                t = x.sums[:, None] - self.alphas[0]
             gate = _per_row(2.0 * squash(t, self.config.squash) - 1.0, codes)
             pre = gate @ self.selectors[p].T
             x = self._activate(p, pre)
@@ -310,37 +359,11 @@ class LogicNetwork:
                     cache.tanh_out.append(x)
         return x
 
-    def _gate_table(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-        """Part 0's distinct unit-domain operand sums on the 2-D input ``x``
-        and, per (slot, row), the flat index of the row's entry in a (sums,
-        slots) table; None unless ``x`` has so few distinct values ``n``
-        that ``n * (n + 2)`` operand pairs are fewer than its rows."""
-        rows = x.shape[0]
-        probe = math.isqrt(rows)
-        # A table needs n < probe; a set over probe entries rejects
-        # continuous data before the sort in np.unique.
-        if x.ndim != 2 or len(set(x.flat[:probe].tolist())) >= probe:
-            return None
-        levels, inverse = np.unique(x, return_inverse=True)
-        n = levels.size
-        if n * (n + 2) >= rows:
-            return None
-        unit = (np.concatenate([levels, (1.0, -1.0)]) + 1.0) / 2.0
-        sums, sum_idx = np.unique(unit[:n, None] + unit, return_inverse=True)
-        # Level codes per (column, row) of the augmented input [x, +1, -1];
-        # return_inverse's shape varies across numpy versions.
-        codes = np.empty((x.shape[1] + 2, rows), dtype=np.intp)
-        codes[:-2] = inverse.reshape(x.shape).T
-        codes[-2:] = [[n], [n + 1]]
-        table = self.pairing_tables[0]
-        pair = codes[table.left_idx] * (n + 2) + codes[table.right_idx]
-        slot = np.arange(table.width_out)[:, None]
-        return sums, sum_idx.reshape(-1)[pair] * table.width_out + slot
-
     def _activate(self, p: int, pre: np.ndarray) -> np.ndarray:
-        """The value part ``p`` passes on: its clamped selector output,
-        tanh-remapped between parts."""
-        sel = np.clip(pre, -1.0, 1.0)
+        """The value part ``p`` passes on: its selector output clamped (two
+        ufuncs beat np.clip on a minibatch), tanh-remapped between parts."""
+        sel = np.maximum(pre, -1.0)
+        np.minimum(sel, 1.0, out=sel)
         return np.tanh(sel) if p + 1 < len(self.pairing_tables) else sel
 
     def decide(self, outputs: np.ndarray) -> np.ndarray:
@@ -375,7 +398,7 @@ class LogicNetwork:
             )
         for p in reversed(range(len(self.pairing_tables))):
             # Clamp passes gradient only strictly inside (-1, 1).
-            open_region = (np.abs(cache.sel_pre[p]) < 1.0).astype(float)
+            open_region = np.abs(cache.sel_pre[p]) < 1.0
             g_pre = g * open_region
             prev = cache.gate_out[p]
             grads.selectors[p] = g_pre.T @ prev
@@ -385,7 +408,7 @@ class LogicNetwork:
             # Signed output is 2 S(t) - 1 and each operand enters t as
             # (v + 1) / 2, so operand gradients carry exactly S'(t).
             g_operand = g_gate * slope
-            grads.alphas[p] = -2.0 * np.sum(g_operand, axis=0)
+            grads.alphas[p] = -2.0 * np.add.reduce(g_operand, axis=0)
             # Features do not train, so part 0 has nothing to pass on.
             if p > 0:
                 g = self.pairing_tables[p].scatter(g_operand)

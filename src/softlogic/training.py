@@ -90,9 +90,7 @@ class TrainResult:
 def _targets(labels: np.ndarray, class_count: int) -> np.ndarray:
     if class_count == 2:
         return labels.astype(float)[:, None]
-    out = np.zeros((labels.shape[0], class_count))
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
+    return np.eye(class_count)[labels]
 
 
 def evaluate(model, dataset: Dataset) -> Metrics:
@@ -103,11 +101,8 @@ def evaluate(model, dataset: Dataset) -> Metrics:
     np.add.at(confusion, (dataset.labels, classes), 1)
     n = dataset.labels.shape[0]
     rate = 1.0 - float(np.trace(confusion)) / n if n else 0.0
-    return Metrics(
-        misclassification_rate=rate,
-        confusion=tuple(tuple(int(v) for v in row) for row in confusion),
-        count=n,
-    )
+    return Metrics(misclassification_rate=rate,
+                   confusion=tuple(map(tuple, confusion.tolist())), count=n)
 
 
 def _fit(model, dataset: Dataset, config: TrainConfig, penalty_term,
@@ -116,15 +111,11 @@ def _fit(model, dataset: Dataset, config: TrainConfig, penalty_term,
     added to the loss and ``apply_updates(model, grads, config)`` owns the
     parameter step."""
     if dataset.class_count != model.class_count:
-        raise ValueError(
-            f"dataset has {dataset.class_count} classes,"
-            f" model expects {model.class_count}"
-        )
+        raise ValueError(f"dataset has {dataset.class_count} classes,"
+                         f" model expects {model.class_count}")
     if dataset.feature_count != model.feature_count:
-        raise ShapeMismatchError(
-            f"dataset has {dataset.feature_count} features,"
-            f" model expects {model.feature_count}"
-        )
+        raise ShapeMismatchError(f"dataset has {dataset.feature_count} features,"
+                                 f" model expects {model.feature_count}")
     model.norm_low, model.norm_high = fit_normalization(dataset.features)
     model.bump_version()
     train_part, val_part = split_dataset(
@@ -132,64 +123,46 @@ def _fit(model, dataset: Dataset, config: TrainConfig, penalty_term,
     )
     if val_part.features.shape[0] == 0:
         raise ValueError("validation split is empty; provide more data")
-    rows = model.normalize(train_part.features)
+    # Part 0's input is built once per split; each minibatch gathers it.
+    rows = model.prepare(model.normalize(train_part.features), config.batch_size)
     targets = _targets(train_part.labels, model.class_count)
     rng = np.random.default_rng(config.seed)
-    n = rows.shape[0]
-    best_rate = math.inf
-    best_epoch = 0
-    best_params = model.copy_parameters()
-    stall = 0
+    n = targets.shape[0]
+    best_rate, best_epoch, best_params, stall = math.inf, 0, model.copy_parameters(), 0
     log: list[tuple[int, float, float]] = []
-    epochs_run = 0
     for epoch in range(1, config.max_epochs + 1):
-        epochs_run = epoch
         order = rng.permutation(n)
         losses = []
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
             outputs, cache = model.forward_normalized(rows[idx])
             err = model.scores(outputs) - targets[idx]
-            loss = (float(np.mean(err ** 2))
+            loss = (float(np.add.reduce(err ** 2, axis=None)) / err.size
                     + config.l1_regularization * penalty_term(model))
             if not math.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch},"
-                    f" batch {start // config.batch_size}"
-                )
+                raise TrainingDivergedError(f"non-finite loss at epoch {epoch},"
+                                            f" batch {start // config.batch_size}")
             losses.append(loss)
             # d(mse)/d(signed output) = 2 err / size * d(score)/d(output).
             grads = model.backward(cache, err / err.size)
             apply_updates(model, grads, config)
         val_rate = evaluate(model, val_part).misclassification_rate
         log.append((epoch, float(np.mean(losses)), val_rate))
-        if val_rate < best_rate:
-            best_rate = val_rate
-            best_epoch = epoch
-            best_params = model.copy_parameters()
-            stall = 0
-        else:
-            # Ties keep the later snapshot: same validation rate, more
-            # training, but no patience reset.
-            if val_rate == best_rate:
-                best_epoch = epoch
-                best_params = model.copy_parameters()
-            stall += 1
-            if stall >= config.patience:
-                break
+        # Ties keep the later snapshot: same validation rate, more
+        # training, but no patience reset.
+        stall = 0 if val_rate < best_rate else stall + 1
+        if val_rate <= best_rate:
+            best_rate, best_epoch, best_params = val_rate, epoch, model.copy_parameters()
+        if stall >= config.patience:
+            break
     model.restore_parameters(best_params)
-    return TrainResult(
-        network=model,
-        log=log,
-        best_epoch=best_epoch,
-        best_val_rate=best_rate,
-        epochs_run=epochs_run,
-    )
+    return TrainResult(network=model, log=log, best_epoch=best_epoch,
+                       best_val_rate=best_rate, epochs_run=len(log))
 
 
 def _logic_penalty(net: LogicNetwork) -> float:
     """L1 mass of the selector weights; compensation levels are exempt."""
-    return float(sum(np.sum(np.abs(w)) for w in net.selectors))
+    return float(sum(np.add.reduce(np.abs(w), axis=None) for w in net.selectors))
 
 
 def _apply_logic_updates(net: LogicNetwork, grads, config: TrainConfig) -> None:
@@ -200,7 +173,7 @@ def _apply_logic_updates(net: LogicNetwork, grads, config: TrainConfig) -> None:
         a = net.alphas[p]
         a -= lr * grads.alphas[p]
         # Compensation levels only mean anything inside [0, 1].
-        np.clip(a, 0.0, 1.0, out=a)
+        np.minimum(np.maximum(a, 0.0, out=a), 1.0, out=a)
     net.bump_version()
 
 
@@ -267,6 +240,10 @@ class DenseTanhNet:
     decide = LogicNetwork.decide
     classify = LogicNetwork.classify
 
+    def prepare(self, rows: np.ndarray, batch: int | None = None) -> np.ndarray:
+        """Normalized rows are this network's input as they are."""
+        return rows
+
     def forward_normalized(self, h: np.ndarray):
         activations = [h]
         for w, b in zip(self.weights, self.biases):
@@ -298,7 +275,7 @@ class DenseTanhNet:
 
 
 def _dense_penalty(net: DenseTanhNet) -> float:
-    return float(sum(np.sum(w ** 2) for w in net.weights))
+    return float(sum(np.add.reduce(w ** 2, axis=None) for w in net.weights))
 
 
 def _apply_dense_updates(net: DenseTanhNet, grads, config: TrainConfig) -> None:
@@ -367,11 +344,8 @@ def cross_validate(dataset: Dataset, folds: int, build_model, config: TrainConfi
         result = train_fn(model, train_set, config)
         fold_metrics.append(evaluate(result.network, test_set))
     rates = np.array([m.misclassification_rate for m in fold_metrics])
-    return CrossValResult(
-        mean_rate=float(rates.mean()),
-        std_rate=float(rates.std()),
-        fold_metrics=tuple(fold_metrics),
-    )
+    return CrossValResult(mean_rate=float(rates.mean()), std_rate=float(rates.std()),
+                          fold_metrics=tuple(fold_metrics))
 
 
 def write_training_log(log: list[tuple[int, float, float]], path: str | Path) -> None:

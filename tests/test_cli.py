@@ -842,3 +842,27 @@ def test_extract_of_a_400_part_model_exits_0(tmp_path, capsys, mode):
     else:
         assert out.startswith("output 0: omitted: too long (")
         assert out.endswith(" leaves, 4218 distinct nodes, gate depth 1365)\n")
+
+
+@pytest.mark.parametrize("flag", ["--model", "--data", "--out"])
+def test_a_directory_given_for_a_file_exits_2(tmp_path, corpus, capsys, flag):
+    _, schema = corpus
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    model = saved_model(tmp_path)
+    argv = {"--model": ["extract", "--model", folder],
+            "--data": ["eval", "--model", model, "--data", folder, "--schema", schema],
+            "--out": ["plot-squash", "--out", folder]}[flag]
+    assert main([str(arg) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert str(folder) in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_extract_with_unallocatable_samples_exits_2(tmp_path, capsys):
+    # numpy refuses a 10**13-row array before touching any memory.
+    model = saved_model(tmp_path)
+    assert main(["extract", "--model", str(model), "--samples", str(10**13)]) == 2
+    captured = capsys.readouterr()
+    assert "--samples 10000000000000" in captured.err
+    assert captured.out == ""

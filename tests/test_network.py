@@ -431,9 +431,12 @@ def test_copy_parameters_is_a_deep_snapshot():
 
 
 def run_dense(fn, *args):
-    """``fn(*args)`` with part 0's gate table turned off."""
+    """``fn(*args)`` with part 0's gate table turned off: rows prepared
+    for batches of 0 rows never get one."""
+    prepare = LogicNetwork.prepare
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(LogicNetwork, "_gate_table", lambda self, x: None)
+        patch.setattr(LogicNetwork, "prepare",
+                      lambda self, rows, batch=None: prepare(self, rows, 0))
         return fn(*args)
 
 

@@ -1,15 +1,25 @@
 """Training loop behavior for the logic network and the dense baseline."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from softlogic.data import Dataset, generate_synthetic
+from softlogic.data import Dataset, generate_synthetic, split_dataset
 from softlogic.expressions import Gate, Leaf
-from softlogic.network import NetworkConfig, ShapeMismatchError, build_network
+from softlogic.network import (
+    NetworkConfig,
+    ShapeMismatchError,
+    build_network,
+    fit_normalization,
+)
 from softlogic.operators import OperatorKind
 from softlogic.training import (
+    _apply_dense_updates,
+    _targets,
     BaselineConfig,
     Metrics,
     TrainConfig,
@@ -284,6 +294,9 @@ def test_fuzzy_and_baseline_see_identical_validation_split():
         def normalize(self, features):
             return features
 
+        def prepare(self, rows, batch):
+            return rows
+
         def forward_normalized(self, rows):
             seen.append(rows.shape[0])
             raise TrainingDivergedError("stop")
@@ -294,6 +307,122 @@ def test_fuzzy_and_baseline_see_identical_validation_split():
             _fit(Probe(), ds, quick_config(batch_size=1000),
                  lambda m: 0.0, lambda m, g, c: None)
     assert seen[0] == seen[1]
+
+
+# ---------------------------------------------- per-split part-0 input
+
+
+def reference_fit(model, dataset, config, penalty, update):
+    """The training loop spelt out on the public per-batch forward: each
+    minibatch's normalized rows go through ``forward_normalized`` as they
+    are.  Returns the log; the model ends on its best snapshot."""
+    model.norm_low, model.norm_high = fit_normalization(dataset.features)
+    model.bump_version()
+    train_part, val_part = split_dataset(dataset, config.validation_fraction,
+                                         seed=config.seed, stratified=True)
+    rows = model.normalize(train_part.features)
+    targets = _targets(train_part.labels, model.class_count)
+    rng = np.random.default_rng(config.seed)
+    best_rate, best_params, stall, log = math.inf, model.copy_parameters(), 0, []
+    for epoch in range(1, config.max_epochs + 1):
+        order = rng.permutation(rows.shape[0])
+        losses = []
+        for start in range(0, rows.shape[0], config.batch_size):
+            idx = order[start:start + config.batch_size]
+            outputs, cache = model.forward_normalized(rows[idx])
+            err = model.scores(outputs) - targets[idx]
+            losses.append(float(np.mean(err ** 2))
+                          + config.l1_regularization * penalty(model))
+            update(model, model.backward(cache, err / err.size), config)
+        val_rate = evaluate(model, val_part).misclassification_rate
+        log.append((epoch, float(np.mean(losses)), val_rate))
+        if val_rate <= best_rate:
+            stall = 0 if val_rate < best_rate else stall + 1
+            best_rate, best_params = val_rate, model.copy_parameters()
+        else:
+            stall += 1
+        if stall >= config.patience:
+            break
+    model.restore_parameters(best_params)
+    return log
+
+
+def reference_logic_update(net, grads, config):
+    lr = config.learning_rate
+    for w, a, g_w, g_a in zip(net.selectors, net.alphas, grads.selectors, grads.alphas):
+        w -= lr * (g_w + config.l1_regularization * np.sign(w))
+        a -= lr * g_a
+        np.clip(a, 0.0, 1.0, out=a)
+    net.bump_version()
+
+
+DATA_LEVELS = {"dense": None, "signed": (-1.0, 1.0), "three": (-1.0, 0.0, 1.0)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(family=st.sampled_from(["logic", "baseline"]),
+       data=st.sampled_from(sorted(DATA_LEVELS)),
+       classes=st.sampled_from([2, 3]),
+       parts=st.integers(min_value=1, max_value=3),
+       batch=st.sampled_from([5, 9, 16]),
+       rows=st.integers(min_value=40, max_value=90),
+       seed=st.integers(min_value=0, max_value=2**16))
+# Table data whose last minibatch is short, and the baseline.
+@example(family="logic", data="signed", classes=2, parts=1, batch=16, rows=60, seed=1)
+@example(family="logic", data="three", classes=3, parts=3, batch=16, rows=90, seed=2)
+@example(family="baseline", data="dense", classes=3, parts=1, batch=9, rows=50, seed=3)
+def test_training_matches_the_per_batch_reference_bit_for_bit(family, data, classes, parts,
+                                                             batch, rows, seed):
+    rng = np.random.default_rng(seed)
+    features = 4
+    levels = DATA_LEVELS[data]
+    x = (rng.uniform(-3.0, 3.0, size=(rows, features)) if levels is None
+         else np.asarray(levels)[rng.integers(len(levels), size=(rows, features))])
+    ds = Dataset(features=x, labels=rng.permutation(np.arange(rows) % classes),
+                 feature_names=[f"x{i}" for i in range(features)], class_count=classes)
+    config = TrainConfig(learning_rate=0.1, l1_regularization=0.002, max_epochs=6,
+                         patience=2, batch_size=batch, seed=seed)
+    if family == "logic":
+        def build():
+            return build_network(features, classes, NetworkConfig(
+                hidden_width=4, logic_parts=parts, seed=seed))
+        fit = train
+        penalty = lambda net: float(sum(np.sum(np.abs(w)) for w in net.selectors))
+        update = reference_logic_update
+    else:
+        def build():
+            return build_baseline(BaselineConfig.mirroring(features, classes, 4), classes)
+        fit = train_baseline
+        penalty = lambda net: float(sum(np.sum(w ** 2) for w in net.weights))
+        update = _apply_dense_updates
+    expected, model = build(), build()
+    expected_log = reference_fit(expected, ds, config, penalty, update)
+    result = fit(model, ds, config)
+    assert result.log == expected_log
+    for got, want in zip(sum(model.copy_parameters(), []),
+                         sum(expected.copy_parameters(), [])):
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_table_levels_are_found_once_per_train_call(monkeypatch):
+    # Each np.unique of raw feature rows finds one prepared input's
+    # levels: the training split's once, the validation split's per epoch.
+    features = 5
+    unique, found = np.unique, []
+
+    def counting_unique(arr, *args, **kwargs):
+        if np.ndim(arr) == 2 and np.shape(arr)[1] == features:
+            found.append(np.shape(arr)[0])
+        return unique(arr, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting_unique)
+    x = np.random.default_rng(4).choice([-1.0, 1.0], size=(200, features))
+    ds = Dataset(features=x, labels=(x[:, 0] > 0).astype(np.intp),
+                 feature_names=[f"x{i}" for i in range(features)], class_count=2)
+    net = build_network(features, 2, NetworkConfig(hidden_width=4, logic_parts=2))
+    result = train(net, ds, TrainConfig(max_epochs=3, patience=3))
+    assert result.epochs_run == 3
+    assert found == [170] + [30] * 3
 
 
 # ------------------------------------------------------ cross-validation
