@@ -1,8 +1,8 @@
 """Byte-identity check of the softlogic command line.
 
-    python3 scripts/byte_identity.py [--seed 3]
+    python3 scripts/byte_identity.py
 
-Writes the ``krkp-cli`` benchmark's CSV files for the seed (kr-vs-kp column
+Writes the ``krkp-cli`` benchmark's CSV files for seed 3 (kr-vs-kp column
 layout, planted labels) by importing ``perfbench/workloads.py``, which it
 never changes.  Then, with the package in this checkout's ``src``, it runs
 
@@ -20,7 +20,6 @@ a changed artifact.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -32,6 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = "kr-vs-kp.schema.json"
+SEED = 3        # of the krkp-cli inputs
 # (model file, train flags)
 RUNS = (("seeded.json", ["--seed", "3", "--max-epochs", "30"]),
         ("short.json", ["--max-epochs", "5"]))
@@ -47,7 +47,7 @@ def run(main, argv: list[str]) -> str:
     return out.getvalue()
 
 
-def artifacts(seed: int, workdir: Path) -> list[Path]:
+def artifacts(workdir: Path) -> list[Path]:
     """Make the inputs in ``workdir``, run every command there and return
     the artifact paths in a fixed order."""
     sys.dont_write_bytecode = True      # leave no caches in the checkout
@@ -56,7 +56,7 @@ def artifacts(seed: int, workdir: Path) -> list[Path]:
     import softlogic.cli
     import workloads
 
-    workloads.KrkpCli(softlogic, seed, workdir)
+    workloads.KrkpCli(softlogic, SEED, workdir)
     shutil.copy(ROOT / "datasets" / SCHEMA, workdir / SCHEMA)
     os.chdir(workdir)
     main = softlogic.cli.main
@@ -79,12 +79,8 @@ def artifacts(seed: int, workdir: Path) -> list[Path]:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=3,
-                        help="seed of the krkp-cli inputs (default 3)")
-    args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        for path in artifacts(args.seed, Path(tmp)):
+        for path in artifacts(Path(tmp)):
             print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
         os.chdir(ROOT)      # leave the directory before it is removed
 

@@ -296,7 +296,11 @@ class LogicNetwork:
         that normalize a whole dataset once."""
         if not isinstance(rows, PreparedRows):
             rows = self.prepare(rows)
-        cache = ForwardCache(self._version, [], [], [], [], [], outputs=np.empty(0))
+        cache = ForwardCache(
+            version=self._version,
+            gate_pre=[], gate_codes=[], gate_out=[], sel_pre=[], tanh_out=[],
+            outputs=np.empty(0),
+        )
         cache.outputs = self._run_parts(rows, 0, cache)
         return cache.outputs, cache
 

@@ -90,7 +90,9 @@ class TrainResult:
 def _targets(labels: np.ndarray, class_count: int) -> np.ndarray:
     if class_count == 2:
         return labels.astype(float)[:, None]
-    return np.eye(class_count)[labels]
+    out = np.zeros((labels.shape[0], class_count))
+    out[np.arange(labels.shape[0]), labels] = 1.0
+    return out
 
 
 def evaluate(model, dataset: Dataset) -> Metrics:
@@ -101,8 +103,11 @@ def evaluate(model, dataset: Dataset) -> Metrics:
     np.add.at(confusion, (dataset.labels, classes), 1)
     n = dataset.labels.shape[0]
     rate = 1.0 - float(np.trace(confusion)) / n if n else 0.0
-    return Metrics(misclassification_rate=rate,
-                   confusion=tuple(map(tuple, confusion.tolist())), count=n)
+    return Metrics(
+        misclassification_rate=rate,
+        confusion=tuple(tuple(int(v) for v in row) for row in confusion),
+        count=n,
+    )
 
 
 def _fit(model, dataset: Dataset, config: TrainConfig, penalty_term,
@@ -111,11 +116,15 @@ def _fit(model, dataset: Dataset, config: TrainConfig, penalty_term,
     added to the loss and ``apply_updates(model, grads, config)`` owns the
     parameter step."""
     if dataset.class_count != model.class_count:
-        raise ValueError(f"dataset has {dataset.class_count} classes,"
-                         f" model expects {model.class_count}")
+        raise ValueError(
+            f"dataset has {dataset.class_count} classes,"
+            f" model expects {model.class_count}"
+        )
     if dataset.feature_count != model.feature_count:
-        raise ShapeMismatchError(f"dataset has {dataset.feature_count} features,"
-                                 f" model expects {model.feature_count}")
+        raise ShapeMismatchError(
+            f"dataset has {dataset.feature_count} features,"
+            f" model expects {model.feature_count}"
+        )
     model.norm_low, model.norm_high = fit_normalization(dataset.features)
     model.bump_version()
     train_part, val_part = split_dataset(
@@ -128,9 +137,14 @@ def _fit(model, dataset: Dataset, config: TrainConfig, penalty_term,
     targets = _targets(train_part.labels, model.class_count)
     rng = np.random.default_rng(config.seed)
     n = targets.shape[0]
-    best_rate, best_epoch, best_params, stall = math.inf, 0, model.copy_parameters(), 0
+    best_rate = math.inf
+    best_epoch = 0
+    best_params = model.copy_parameters()
+    stall = 0
     log: list[tuple[int, float, float]] = []
+    epochs_run = 0
     for epoch in range(1, config.max_epochs + 1):
+        epochs_run = epoch
         order = rng.permutation(n)
         losses = []
         for start in range(0, n, config.batch_size):
@@ -140,24 +154,38 @@ def _fit(model, dataset: Dataset, config: TrainConfig, penalty_term,
             loss = (float(np.add.reduce(err ** 2, axis=None)) / err.size
                     + config.l1_regularization * penalty_term(model))
             if not math.isfinite(loss):
-                raise TrainingDivergedError(f"non-finite loss at epoch {epoch},"
-                                            f" batch {start // config.batch_size}")
+                raise TrainingDivergedError(
+                    f"non-finite loss at epoch {epoch},"
+                    f" batch {start // config.batch_size}"
+                )
             losses.append(loss)
             # d(mse)/d(signed output) = 2 err / size * d(score)/d(output).
             grads = model.backward(cache, err / err.size)
             apply_updates(model, grads, config)
         val_rate = evaluate(model, val_part).misclassification_rate
         log.append((epoch, float(np.mean(losses)), val_rate))
-        # Ties keep the later snapshot: same validation rate, more
-        # training, but no patience reset.
-        stall = 0 if val_rate < best_rate else stall + 1
-        if val_rate <= best_rate:
-            best_rate, best_epoch, best_params = val_rate, epoch, model.copy_parameters()
-        if stall >= config.patience:
-            break
+        if val_rate < best_rate:
+            best_rate = val_rate
+            best_epoch = epoch
+            best_params = model.copy_parameters()
+            stall = 0
+        else:
+            # Ties keep the later snapshot: same validation rate, more
+            # training, but no patience reset.
+            if val_rate == best_rate:
+                best_epoch = epoch
+                best_params = model.copy_parameters()
+            stall += 1
+            if stall >= config.patience:
+                break
     model.restore_parameters(best_params)
-    return TrainResult(network=model, log=log, best_epoch=best_epoch,
-                       best_val_rate=best_rate, epochs_run=len(log))
+    return TrainResult(
+        network=model,
+        log=log,
+        best_epoch=best_epoch,
+        best_val_rate=best_rate,
+        epochs_run=epochs_run,
+    )
 
 
 def _logic_penalty(net: LogicNetwork) -> float:
@@ -344,8 +372,11 @@ def cross_validate(dataset: Dataset, folds: int, build_model, config: TrainConfi
         result = train_fn(model, train_set, config)
         fold_metrics.append(evaluate(result.network, test_set))
     rates = np.array([m.misclassification_rate for m in fold_metrics])
-    return CrossValResult(mean_rate=float(rates.mean()), std_rate=float(rates.std()),
-                          fold_metrics=tuple(fold_metrics))
+    return CrossValResult(
+        mean_rate=float(rates.mean()),
+        std_rate=float(rates.std()),
+        fold_metrics=tuple(fold_metrics),
+    )
 
 
 def write_training_log(log: list[tuple[int, float, float]], path: str | Path) -> None:
