@@ -122,11 +122,24 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _file_path(path: Path) -> Path:
+    """``path`` if a file can be written there: not a directory, and its
+    directory exists."""
+    if path.is_dir() or not path.parent.is_dir():
+        raise OSError(f"{path} is a directory" if path.is_dir() else f"{path}: no such directory")
+    return path
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     opt = _Options(args)
     net_config = opt.build(NetworkConfig)
     train_config = opt.build(TrainConfig)
     opt.check_all_read()
+    # Output paths are checked before anything is trained.
+    out_path = _file_path(Path(args.out))
+    log_path = _file_path(Path(args.log) if args.log else out_path.with_suffix(".log.csv"))
+    manifest_path = _file_path(Path(args.manifest) if args.manifest
+                               else out_path.with_suffix(".manifest.json"))
     dataset = _load_dataset(args.data, args.schema)
     net = build_network(
         dataset.feature_count, dataset.class_count, net_config,
@@ -135,12 +148,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     result = train(net, dataset, train_config)
 
-    out_path = Path(args.out)
     out_path.write_text(serialize_model(result.network))
-    log_path = Path(args.log) if args.log else out_path.with_suffix(".log.csv")
     write_training_log(result.log, log_path)
-    manifest_path = (Path(args.manifest) if args.manifest
-                     else out_path.with_suffix(".manifest.json"))
     network = asdict(net_config)
     _write_json(manifest_path, {
         "command": "train",

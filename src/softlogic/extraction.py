@@ -23,7 +23,7 @@ and disjunctive gates, not just near decision boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -90,19 +90,8 @@ def snapped_network(net: LogicNetwork,
             if canonical is not None:
                 snapped[s] = canonical
         new_alphas.append(snapped)
-    clone = LogicNetwork(
-        feature_count=net.feature_count,
-        class_count=net.class_count,
-        config=net.config,
-        pairing_tables=net.pairing_tables,
-        alphas=new_alphas,
-        selectors=[w.copy() for w in net.selectors],
-        norm_low=net.norm_low.copy(),
-        norm_high=net.norm_high.copy(),
-        feature_names=net.feature_names,
-        label_names=net.label_names,
-    )
-    return clone
+    return replace(net, alphas=new_alphas, selectors=[w.copy() for w in net.selectors],
+                   norm_low=net.norm_low.copy(), norm_high=net.norm_high.copy())
 
 
 def _kept_indices(row: np.ndarray, keep_ratio: float) -> np.ndarray:

@@ -192,12 +192,14 @@ class ForwardCache:
     # Unit-domain gate arguments per part, (rows, slots); a table part's
     # are (distinct operand sums, slots), gathered per row by the flat
     # (slots, rows) indices in gate_codes, which holds None for dense parts.
-    gate_pre: list[np.ndarray]
-    gate_codes: list[np.ndarray | None]
-    gate_out: list[np.ndarray]      # signed gate outputs per part, per row
-    sel_pre: list[np.ndarray]       # selector outputs before clamping
-    tanh_out: list[np.ndarray]      # remapped values between parts
-    outputs: np.ndarray
+    gate_pre: list[np.ndarray] = field(default_factory=list)
+    gate_codes: list[np.ndarray | None] = field(default_factory=list)
+    # Signed gate outputs per part, per row; selector outputs before
+    # clamping; values remapped between parts; the last part's output.
+    gate_out: list[np.ndarray] = field(default_factory=list)
+    sel_pre: list[np.ndarray] = field(default_factory=list)
+    tanh_out: list[np.ndarray] = field(default_factory=list)
+    outputs: np.ndarray | None = None
 
 
 @dataclass
@@ -229,33 +231,25 @@ def _spans_finite(low: np.ndarray, high: np.ndarray) -> bool:
         return bool(np.all(np.isfinite(high - low)))
 
 
+@dataclass(eq=False)
 class LogicNetwork:
-    """Stack of pairing, gate and selector layers over normalized inputs."""
+    """Stack of pairing, gate and selector layers over normalized inputs;
+    every instance is checked by :meth:`validate` when it is constructed."""
 
-    def __init__(
-        self,
-        feature_count: int,
-        class_count: int,
-        config: NetworkConfig,
-        pairing_tables: list[PairingTable],
-        alphas: list[np.ndarray],
-        selectors: list[np.ndarray],
-        norm_low: np.ndarray,
-        norm_high: np.ndarray,
-        feature_names: list[str] | None = None,
-        label_names: list[str] | None = None,
-    ):
-        self.feature_count = feature_count
-        self.class_count = class_count
-        self.config = config
-        self.pairing_tables = pairing_tables
-        self.alphas = alphas
-        self.selectors = selectors
-        self.norm_low = norm_low
-        self.norm_high = norm_high
-        self.feature_names = feature_names
-        self.label_names = label_names
-        self._version = 0
+    feature_count: int
+    class_count: int
+    config: NetworkConfig
+    pairing_tables: list[PairingTable]
+    alphas: list[np.ndarray]
+    selectors: list[np.ndarray]
+    norm_low: np.ndarray
+    norm_high: np.ndarray
+    feature_names: list[str] | None = None
+    label_names: list[str] | None = None
+    _version: int = field(default=0, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     # -- structure -------------------------------------------------------
 
@@ -296,11 +290,7 @@ class LogicNetwork:
         that normalize a whole dataset once."""
         if not isinstance(rows, PreparedRows):
             rows = self.prepare(rows)
-        cache = ForwardCache(
-            version=self._version,
-            gate_pre=[], gate_codes=[], gate_out=[], sel_pre=[], tanh_out=[],
-            outputs=np.empty(0),
-        )
+        cache = ForwardCache(self._version)
         cache.outputs = self._run_parts(rows, 0, cache)
         return cache.outputs, cache
 
@@ -475,7 +465,7 @@ class LogicNetwork:
             for p, items in enumerate(data["pairings"]):
                 tables.append(PairingTable.from_json(width, items))
                 width = selectors[p].shape[0]
-            net = cls(
+            return cls(
                 feature_count=data["feature_count"],
                 class_count=data["class_count"],
                 config=config,
@@ -487,15 +477,15 @@ class LogicNetwork:
                 feature_names=data.get("feature_names"),
                 label_names=data.get("label_names"),
             )
-            net.validate()
         except KeyError as exc:
             raise ConfigurationError(f"model file lacks key {exc}") from exc
         except (IndexError, TypeError, OverflowError) as exc:
             raise ConfigurationError(f"malformed model file: {exc}") from exc
-        return net
 
     def validate(self) -> None:
-        """Cross-check widths of pairings, gates, selectors, bounds and names."""
+        """Check the counts, then cross-check widths of pairings, gates,
+        selectors, bounds and names."""
+        _check_counts(self.feature_count, self.class_count)
         width = self.feature_count
         if not (len(self.pairing_tables) == len(self.alphas) == len(self.selectors)):
             raise ConfigurationError("layer lists disagree in length")
@@ -543,6 +533,13 @@ class LogicNetwork:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
+def _check_counts(feature_count, class_count) -> None:
+    """Both counts must be integers of at least 2; a bool is not one."""
+    for key, count in (("feature_count", feature_count), ("class_count", class_count)):
+        if type(count) is not int or count < 2:
+            raise ConfigurationError(f"{key} must be an integer of at least 2")
+
+
 def _per_row(values: np.ndarray, codes: np.ndarray | None) -> np.ndarray:
     """A part's (rows, slots) gate values: a table part's are gathered as
     (slots, rows) and transposed, so they come out column-major like dense
@@ -586,14 +583,7 @@ def build_network(
     Normalization bounds start at (-1, 1), the identity map; training
     refits them from data.
     """
-    if feature_count < 2:
-        raise ConfigurationError("need at least 2 features to form pairings")
-    if class_count < 2:
-        raise ConfigurationError("need at least 2 classes")
-    if feature_names is not None and len(feature_names) != feature_count:
-        raise ConfigurationError("feature_names length must match feature_count")
-    if label_names is not None and len(label_names) != class_count:
-        raise ConfigurationError("label_names length must match class_count")
+    _check_counts(feature_count, class_count)       # the arrays are sized by them
     rng = np.random.default_rng(config.seed)
     tables: list[PairingTable] = []
     alphas: list[np.ndarray] = []

@@ -97,11 +97,18 @@ def _targets(labels: np.ndarray, class_count: int) -> np.ndarray:
 
 def evaluate(model, dataset: Dataset) -> Metrics:
     """Misclassification rate and confusion matrix (rows = true class)."""
+    if dataset.class_count > model.class_count:
+        raise ValueError(f"dataset has {dataset.class_count} classes,"
+                         f" model knows {model.class_count}")
     classes, _ = model.classify(dataset.features)
-    c = model.class_count
+    return _metrics(model.class_count, dataset.labels, classes)
+
+
+def _metrics(c: int, labels: np.ndarray, classes: np.ndarray) -> Metrics:
+    """:class:`Metrics` of the decisions ``classes`` against ``labels``."""
     confusion = np.zeros((c, c), dtype=np.intp)
-    np.add.at(confusion, (dataset.labels, classes), 1)
-    n = dataset.labels.shape[0]
+    np.add.at(confusion, (labels, classes), 1)
+    n = labels.shape[0]
     rate = 1.0 - float(np.trace(confusion)) / n if n else 0.0
     return Metrics(
         misclassification_rate=rate,
@@ -134,6 +141,7 @@ def _fit(model, dataset: Dataset, config: TrainConfig, penalty_term,
         raise ValueError("validation split is empty; provide more data")
     # Part 0's input is built once per split; each minibatch gathers it.
     rows = model.prepare(model.normalize(train_part.features), config.batch_size)
+    val_rows = model.prepare(model.normalize(val_part.features))
     targets = _targets(train_part.labels, model.class_count)
     rng = np.random.default_rng(config.seed)
     n = targets.shape[0]
@@ -162,7 +170,9 @@ def _fit(model, dataset: Dataset, config: TrainConfig, penalty_term,
             # d(mse)/d(signed output) = 2 err / size * d(score)/d(output).
             grads = model.backward(cache, err / err.size)
             apply_updates(model, grads, config)
-        val_rate = evaluate(model, val_part).misclassification_rate
+        val_classes = model.decide(model.forward_normalized(val_rows)[0])
+        val_rate = _metrics(model.class_count, val_part.labels,
+                            val_classes).misclassification_rate
         log.append((epoch, float(np.mean(losses)), val_rate))
         if val_rate < best_rate:
             best_rate = val_rate

@@ -182,6 +182,18 @@ def test_eval_rejects_labels_unknown_to_the_model(tmp_path, corpus, capsys):
     assert "'yes'" in capsys.readouterr().err
 
 
+def test_eval_of_more_classes_than_an_unnamed_model_has_exits_2(tmp_path, corpus, capsys):
+    _, schema = corpus
+    model = saved_model(tmp_path)       # 2 classes, no label names
+    three = tmp_path / "three.csv"
+    three.write_text("0.1,0.2,0.3,a\n0.4,0.5,0.6,b\n0.7,0.8,0.9,c\n")
+    code = main(["eval", "--model", str(model), "--data", str(three),
+                 "--schema", str(schema)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "dataset has 3 classes, model knows 2" in err and "Traceback" not in err
+
+
 def test_eval_wrong_width_data_exits_4(tmp_path, corpus, capsys):
     data, schema = corpus
     _, model = run_train(tmp_path, data, schema)
@@ -629,6 +641,12 @@ def _edit(path, value=_DELETE):
     pytest.param(_edit(["pairings", 0, 0], ["false", 3]), "", id="constant-pairing-past-width"),
     pytest.param(_edit(["format_version"], 1), "unsupported model format version 1",
                  id="format-version-1"),
+    pytest.param(_edit(["feature_count"], 3.0), "feature_count must be an integer",
+                 id="float-feature-count"),
+    pytest.param(_edit(["class_count"], 1), "class_count must be an integer of at least 2",
+                 id="class-count-of-one"),
+    pytest.param(_edit(["class_count"], True), "class_count must be an integer",
+                 id="boolean-class-count"),
 ])
 def test_malformed_model_file_exits_2(tmp_path, corpus, capsys, edit, message):
     data, schema = corpus
@@ -844,15 +862,24 @@ def test_extract_of_a_400_part_model_exits_0(tmp_path, capsys, mode):
         assert out.endswith(" leaves, 4218 distinct nodes, gate depth 1365)\n")
 
 
-@pytest.mark.parametrize("flag", ["--model", "--data", "--out"])
-def test_a_directory_given_for_a_file_exits_2(tmp_path, corpus, capsys, flag):
-    _, schema = corpus
+@pytest.mark.parametrize("flag", ["--model", "--data", "--out", "train --out", "train --log",
+                                  "train --manifest", "train --out in no folder"])
+def test_a_directory_given_for_a_file_exits_2(tmp_path, corpus, capsys, monkeypatch, flag):
+    data, schema = corpus
     folder = tmp_path / "folder"
     folder.mkdir()
     model = saved_model(tmp_path)
+    # train's output paths are checked before it trains.
+    monkeypatch.setattr("softlogic.cli.train", lambda *args: pytest.fail("train ran"))
+    train = ["train", "--data", data, "--schema", schema, "--out", tmp_path / "m.json"]
     argv = {"--model": ["extract", "--model", folder],
             "--data": ["eval", "--model", model, "--data", folder, "--schema", schema],
-            "--out": ["plot-squash", "--out", folder]}[flag]
+            "--out": ["plot-squash", "--out", folder],
+            "train --out": [*train, "--out", folder],
+            "train --log": [*train, "--log", folder],
+            "train --manifest": [*train, "--manifest", folder],
+            "train --out in no folder": [*train, "--out", folder / "missing" / "m.json"],
+            }[flag]
     assert main([str(arg) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert str(folder) in captured.err and "Traceback" not in captured.err

@@ -4,6 +4,7 @@ import copy
 import functools
 import gc
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -106,6 +107,21 @@ def test_snapped_network_keeps_names():
     snapped = snapped_network(net)
     assert snapped.feature_names == ["age", "weight"]
     assert snapped.label_names == ["low", "mid", "high"]
+
+
+def test_snapped_network_copies_what_it_changes_and_carries_the_rest():
+    net = build_network(2, 3, NetworkConfig(hidden_width=2, logic_parts=2),
+                        feature_names=["age", "weight"], label_names=["low", "mid", "high"])
+    changed = ("alphas", "selectors", "norm_low", "norm_high")
+    before = [a.copy() for a in [*net.alphas, *net.selectors, net.norm_low, net.norm_high]]
+    snapped = snapped_network(net)
+    for a in [*snapped.alphas, *snapped.selectors, snapped.norm_low, snapped.norm_high]:
+        a += 0.25
+    after = [*net.alphas, *net.selectors, net.norm_low, net.norm_high]
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+    for f in fields(LogicNetwork):
+        if f.name not in changed and f.name != "_version":
+            assert getattr(snapped, f.name) is getattr(net, f.name), f.name
 
 
 def test_snapped_network_still_runs():

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -171,6 +172,9 @@ def test_build_network_rejects_degenerate_shapes():
         build_network(1, 2, NetworkConfig())
     with pytest.raises(ConfigurationError):
         build_network(4, 1, NetworkConfig())
+    for feature_count, class_count in [(4, -1), (4, True), (4.0, 2), (4, 3.0)]:
+        with pytest.raises(ConfigurationError):
+            build_network(feature_count, class_count, NetworkConfig())
     with pytest.raises(ConfigurationError):
         build_network(4, 2, NetworkConfig(), feature_names=["a", "b"])
 
@@ -559,6 +563,54 @@ def test_names_travel_with_the_model(tmp_path):
     loaded = LogicNetwork.load(path)
     assert loaded.feature_names == ["age", "mass", "dose"]
     assert loaded.label_names == ["sick", "well"]
+
+
+def _same_field(a, b) -> bool:
+    """Whether two values of a LogicNetwork field agree: arrays bit for bit,
+    pairing tables by their index arrays, lists item by item."""
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_field, a, b))
+    if isinstance(a, np.ndarray):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, PairingTable):
+        return (a.width_in == b.width_in and np.array_equal(a.left_idx, b.left_idx)
+                and np.array_equal(a.right_idx, b.right_idx))
+    return a == b
+
+
+def test_model_file_round_trips_every_field():
+    net = build_network(3, 3, NetworkConfig(hidden_width=4, seed=5),
+                        feature_names=["age", "mass", "dose"],
+                        label_names=["low", "mid", "high"])
+    net.norm_low = np.array([0.1, -1.7, 2.0 / 3.0])
+    net.norm_high = np.array([1.9, 2.3, 7.0 / 3.0])
+    loaded = LogicNetwork.from_dict(json.loads(serialize_model(net)))
+    names = [f.name for f in fields(LogicNetwork) if f.name != "_version"]
+    assert len(names) == 10
+    for name in names:
+        assert _same_field(getattr(loaded, name), getattr(net, name)), name
+
+
+def _construct(net, **changes):
+    """A LogicNetwork built directly from ``net``'s fields and ``changes``."""
+    given = {f.name: getattr(net, f.name) for f in fields(LogicNetwork) if f.init}
+    return LogicNetwork(**{**given, **changes})
+
+
+@pytest.mark.parametrize("construct", [replace, _construct], ids=["replace", "direct"])
+@pytest.mark.parametrize("changes", [
+    lambda net: {"label_names": ["x"]},
+    lambda net: {"selectors": [net.selectors[0][:, :-1], net.selectors[1]]},
+    lambda net: {"class_count": 1},
+    lambda net: {"class_count": 2.0},
+    lambda net: {"feature_count": True},
+], ids=["short-label-names", "broken-selector-chain", "one-class", "float-class-count",
+        "boolean-feature-count"])
+def test_an_invalid_network_is_never_constructed(construct, changes):
+    net = toy_net(feature_count=3)
+    with pytest.raises(ConfigurationError):
+        construct(net, **changes(net))
+    assert construct(net).validate() is None
 
 
 def test_build_network_validates_label_names_length():
