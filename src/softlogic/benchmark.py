@@ -46,7 +46,6 @@ DATA_DIR_ENV = "SOFTLOGIC_DATA_DIR"
 @dataclass(frozen=True)
 class BenchmarkSpec:
     key: str
-    title: str
     data_file: str
     schema_file: str
     url: str
@@ -61,7 +60,6 @@ _UCI = "https://archive.ics.uci.edu/ml/machine-learning-databases"
 BENCHMARKS: tuple[BenchmarkSpec, ...] = (
     BenchmarkSpec(
         key="breast-cancer",
-        title="Breast cancer",
         data_file="breast-cancer-wisconsin.data",
         schema_file="breast-cancer-wisconsin.schema.json",
         url=f"{_UCI}/breast-cancer-wisconsin/breast-cancer-wisconsin.data",
@@ -72,7 +70,6 @@ BENCHMARKS: tuple[BenchmarkSpec, ...] = (
     ),
     BenchmarkSpec(
         key="diabetes",
-        title="Diabetes",
         data_file="pima-indians-diabetes.data",
         schema_file="pima-indians-diabetes.schema.json",
         url=f"{_UCI}/pima-indians-diabetes/pima-indians-diabetes.data",
@@ -83,7 +80,6 @@ BENCHMARKS: tuple[BenchmarkSpec, ...] = (
     ),
     BenchmarkSpec(
         key="kr-vs-kp",
-        title="King-Rook vs King-Pawn",
         data_file="kr-vs-kp.data",
         schema_file="kr-vs-kp.schema.json",
         url=f"{_UCI}/chess/king-rook-vs-king-pawn/kr-vs-kp.data",
@@ -94,7 +90,6 @@ BENCHMARKS: tuple[BenchmarkSpec, ...] = (
     ),
     BenchmarkSpec(
         key="vote",
-        title="Vote",
         data_file="house-votes-84.data",
         schema_file="house-votes-84.schema.json",
         url=f"{_UCI}/voting-records/house-votes-84.data",
@@ -166,9 +161,7 @@ def _run_one(spec: BenchmarkSpec, dataset: Dataset, seeds: range,
     dnn_rates = []
     best = None    # (rate, trained network, test part)
     for seed in seeds:
-        train_part, test_part = split_dataset(
-            dataset, test_fraction, seed=seed, stratified=True
-        )
+        train_part, test_part = split_dataset(dataset, test_fraction, seed=seed)
         cfg = replace(train_config_base, seed=seed)
         net = build_network(
             dataset.feature_count, dataset.class_count,
@@ -214,12 +207,10 @@ def _run_one(spec: BenchmarkSpec, dataset: Dataset, seeds: range,
 
 def run_benchmark(data_dir: str | Path | None = None, seeds: int = 5,
                   test_fraction: float = 0.30, hidden_width: int = 8,
-                  train_config: training.TrainConfig | None = None,
                   keys: list[str] | None = None) -> list[BenchmarkRow]:
     """Run every benchmark found in the data directory; missing ones are
     marked SKIPPED rather than raising."""
     directory = resolve_data_dir(str(data_dir) if data_dir else None)
-    base = train_config or training.TrainConfig()
     rows = []
     for spec in BENCHMARKS:
         if keys is not None and spec.key not in keys:
@@ -236,7 +227,8 @@ def run_benchmark(data_dir: str | Path | None = None, seeds: int = 5,
             ))
             continue
         rows.append(_run_one(
-            spec, dataset, range(seeds), test_fraction, hidden_width, base
+            spec, dataset, range(seeds), test_fraction, hidden_width,
+            training.TrainConfig()
         ))
     return rows
 

@@ -293,8 +293,8 @@ def numeric_schema(feature_names: list[str], label_name: str = "label") -> dict:
     }
 
 
-def split_dataset(dataset: Dataset, fraction: float, seed: int = 0,
-                  stratified: bool = True) -> tuple[Dataset, Dataset]:
+def split_dataset(dataset: Dataset, fraction: float,
+                  seed: int = 0) -> tuple[Dataset, Dataset]:
     """Deterministic (train, test) split; ``fraction`` is the test share.
 
     Stratified splitting rounds the share per class, so proportions hold
@@ -304,25 +304,20 @@ def split_dataset(dataset: Dataset, fraction: float, seed: int = 0,
     if not (0.0 < fraction < 1.0):
         raise ValueError("fraction must lie strictly between 0 and 1")
     rng = np.random.default_rng(seed)
-    n = dataset.row_count
     test_idx: list[np.ndarray] = []
-    if stratified:
-        for cls in range(dataset.class_count):
-            members = np.nonzero(dataset.labels == cls)[0]
-            if members.shape[0] == 0:
-                continue
-            if members.shape[0] == 1:
-                warnings.warn(
-                    f"class {cls} has a single instance; kept for training"
-                )
-                continue
-            members = members[rng.permutation(members.shape[0])]
-            take = int(round(fraction * members.shape[0]))
-            test_idx.append(members[:take])
-    else:
-        order = rng.permutation(n)
-        test_idx.append(order[:int(round(fraction * n))])
-    test_mask = np.zeros(n, dtype=bool)
+    for cls in range(dataset.class_count):
+        members = np.nonzero(dataset.labels == cls)[0]
+        if members.shape[0] == 0:
+            continue
+        if members.shape[0] == 1:
+            warnings.warn(
+                f"class {cls} has a single instance; kept for training"
+            )
+            continue
+        members = members[rng.permutation(members.shape[0])]
+        take = int(round(fraction * members.shape[0]))
+        test_idx.append(members[:take])
+    test_mask = np.zeros(dataset.row_count, dtype=bool)
     if test_idx:
         test_mask[np.concatenate(test_idx)] = True
     train = dataset.take(np.nonzero(~test_mask)[0])

@@ -111,14 +111,12 @@ class PairingTable:
         left, right = np.array(slots, dtype=np.intp).reshape(-1, 2).T
         return cls(width_in, left, right)
 
-    def operands(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gather signed left/right operands along the last axis of a batch."""
-        augmented = np.empty(x.shape[:-1] + (self.width_in + 2,))
-        augmented[..., :-2] = x
-        augmented[..., -2:] = (1.0, -1.0)
+    def operands(self, unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gather left/right operands along the last axis of a batch of
+        unit-domain augmented inputs, :attr:`PreparedRows.unit`."""
         # Fancy indexing, not take: the operands come out column-major, and
         # the selector matmul's rounding depends on that layout.
-        return augmented[..., self.left_idx], augmented[..., self.right_idx]
+        return unit[..., self.left_idx], unit[..., self.right_idx]
 
     @functools.cached_property
     def scatter_map(self) -> np.ndarray:
@@ -137,9 +135,9 @@ class PairingTable:
 
 
 class PreparedRows:
-    """Part 0's input for normalized rows, built once and gathered per
-    minibatch: the unit-domain augmented input ``([x, +1, -1] + 1) / 2``,
-    (rows, features + 2), or for few distinct values the augmented
+    """A logic part's input, built once and gathered per minibatch: the
+    unit-domain augmented input ``([x, +1, -1] + 1) / 2`` of shape
+    (rows, inputs + 2), or for part 0's few distinct values the augmented
     columns' level codes, (features + 2, rows), the distinct unit-domain
     operand sums and, per (left, right) code pair, the flat offset of its
     sum's row in a (sums, slots) table."""
@@ -148,6 +146,15 @@ class PreparedRows:
 
     def __init__(self, unit=None, codes=None, sums=None, offsets=None):
         self.unit, self.codes, self.sums, self.offsets = unit, codes, sums, offsets
+
+    @classmethod
+    def dense(cls, x: np.ndarray) -> "PreparedRows":
+        """The unit-domain augmented input of signed ``x``, whose leading
+        axes pass through."""
+        augmented = np.empty(x.shape[:-1] + (x.shape[-1] + 2,))
+        augmented[..., :-2] = x
+        augmented[..., -2:] = (1.0, -1.0)
+        return cls((augmented + 1.0) / 2.0)
 
     def __getitem__(self, idx) -> "PreparedRows":
         """The prepared input of rows ``idx``."""
@@ -282,14 +289,12 @@ class LogicNetwork:
             raise ShapeMismatchError(
                 f"expected (*, {self.feature_count}) features, got {arr.shape}"
             )
-        return self.forward_normalized(self.normalize(arr))
+        return self.forward_normalized(self.prepare(self.normalize(arr)))
 
-    def forward_normalized(self, rows) -> tuple[np.ndarray, ForwardCache]:
-        """:meth:`forward` for rows already mapped by :meth:`normalize`, or
-        for rows of what :meth:`prepare` returns; unchecked, for callers
-        that normalize a whole dataset once."""
-        if not isinstance(rows, PreparedRows):
-            rows = self.prepare(rows)
+    def forward_normalized(self, rows: PreparedRows) -> tuple[np.ndarray, ForwardCache]:
+        """:meth:`forward` for rows of what :meth:`prepare` returns;
+        unchecked, for callers that normalize and prepare a whole dataset
+        once."""
         cache = ForwardCache(self._version)
         cache.outputs = self._run_parts(rows, 0, cache)
         return cache.outputs, cache
@@ -316,10 +321,7 @@ class LogicNetwork:
                 codes[-2:] = [[n], [n + 1]]
                 offsets = sum_idx.reshape(n, n + 2) * self.pairing_tables[0].width_out
                 return PreparedRows(None, codes, sums, offsets)
-        augmented = np.empty(rows.shape[:-1] + (rows.shape[-1] + 2,))
-        augmented[..., :-2] = rows
-        augmented[..., -2:] = (1.0, -1.0)
-        return PreparedRows((augmented + 1.0) / 2.0)
+        return PreparedRows.dense(rows)
 
     def _run_parts(self, x, first: int, cache: ForwardCache | None = None) -> np.ndarray:
         """Part ``first`` and every later one, from the signed inputs
@@ -330,11 +332,11 @@ class LogicNetwork:
         for p in range(first, parts):
             table, codes = self.pairing_tables[p], None
             if p > 0:
-                left, right = table.operands(x)
                 # Gates evaluate on [0, 1]; layers exchange signed values.
-                t = (left + 1.0) / 2.0 + (right + 1.0) / 2.0 - self.alphas[p]
-            elif x.codes is None:
-                t = x.unit[..., table.left_idx] + x.unit[..., table.right_idx] - self.alphas[0]
+                x = PreparedRows.dense(x)
+            if x.codes is None:
+                # No names for the operands: they die before the squash.
+                t = np.add(*table.operands(x.unit)) - self.alphas[p]
             else:
                 # Flat (slots, rows) indices into the (sums, slots) table, by
                 # way of each (left, right) code pair; no index array outlives this.

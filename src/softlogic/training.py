@@ -134,9 +134,8 @@ def _fit(model, dataset: Dataset, config: TrainConfig, penalty_term,
         )
     model.norm_low, model.norm_high = fit_normalization(dataset.features)
     model.bump_version()
-    train_part, val_part = split_dataset(
-        dataset, config.validation_fraction, seed=config.seed, stratified=True
-    )
+    train_part, val_part = split_dataset(dataset, config.validation_fraction,
+                                         seed=config.seed)
     if val_part.features.shape[0] == 0:
         raise ValueError("validation split is empty; provide more data")
     # Part 0's input is built once per split; each minibatch gathers it.

@@ -97,7 +97,7 @@ def test_run_one_produces_complete_row():
         Gate(OperatorKind.CONJUNCTION, 1.0, Leaf(0), Leaf(1)),
         feature_count=3, rows=150, seed=0)
     spec = BenchmarkSpec(
-        key="toy", title="Toy", data_file="toy.data",
+        key="toy", data_file="toy.data",
         schema_file="toy.schema.json", url="https://example.org/toy",
         paper_fuzzy=0.2, paper_dnn=0.1,
         expected_rows=150, expected_columns=4)

@@ -287,12 +287,6 @@ def test_split_single_member_class_stays_in_training():
     assert 1 not in test.labels.tolist()
 
 
-def test_split_unstratified_counts():
-    ds = balanced_dataset(40)
-    train, test = split_dataset(ds, 0.25, seed=4, stratified=False)
-    assert test.row_count == 10
-
-
 def test_split_rejects_degenerate_fraction():
     ds = balanced_dataset(10)
     for bad in (0.0, 1.0, -0.1, 1.5):

@@ -14,6 +14,7 @@ from softlogic.network import (
     LogicNetwork,
     NetworkConfig,
     PairingTable,
+    PreparedRows,
     ShapeMismatchError,
     StaleCacheError,
     build_network,
@@ -72,10 +73,10 @@ def test_pairing_validation():
 def test_pairing_table_operands_inject_signed_constants():
     table = PairingTable.standard(2)
     x = np.array([[0.4, -0.6]])
-    left, right = table.operands(x)
-    # Slots: (0,1), T0, T1, F0, F1.
-    assert left.tolist() == [[0.4, 0.4, -0.6, 0.4, -0.6]]
-    assert right.tolist() == [[-0.6, 1.0, 1.0, -1.0, -1.0]]
+    left, right = table.operands(PreparedRows.dense(x).unit)
+    # Slots: (0,1), T0, T1, F0, F1, on the unit interval.
+    assert left.tolist() == [[0.7, 0.7, 0.2, 0.7, 0.2]]
+    assert right.tolist() == [[0.2, 1.0, 1.0, 0.0, 0.0]]
 
 
 @st.composite
@@ -106,11 +107,12 @@ def test_pairing_table_matches_per_slot_reference(layer):
     width, items, x, g = layer
     table = PairingTable.from_json(width, items)
     assert table.to_json() == items
-    left, right = table.operands(x)
-    constant = {"true": 1.0, "false": -1.0}
+    left, right = table.operands(PreparedRows.dense(x).unit)
+    unit = (x + 1.0) / 2.0
+    constant = {"true": 1.0, "false": 0.0}
     for s, (kind, i, *partner) in enumerate(items):
-        assert np.array_equal(left[..., s], x[..., i])
-        expected = x[..., partner[0]] if kind == "pair" else np.full(x.shape[:-1], constant[kind])
+        assert np.array_equal(left[..., s], unit[..., i])
+        expected = unit[..., partner[0]] if kind == "pair" else np.full(x.shape[:-1], constant[kind])
         assert np.array_equal(right[..., s], expected)
     assert np.allclose(table.scatter(g), scatter_reference(width, items, g),
                        rtol=0.0, atol=1e-12)
@@ -261,8 +263,8 @@ def gate_slot_value(net, signed_inputs, alpha, slot=0):
     net.alphas[0][slot] = alpha
     net.bump_version()
     x = np.asarray(signed_inputs, dtype=float)[None, :]
-    left, right = net.pairing_tables[0].operands(x)
-    t = (left + 1) / 2 + (right + 1) / 2 - net.alphas[0]
+    left, right = net.pairing_tables[0].operands(PreparedRows.dense(x).unit)
+    t = left + right - net.alphas[0]
     from softlogic.operators import squash
     return float(2 * squash(t[0, slot], net.config.squash) - 1)
 
@@ -445,7 +447,7 @@ def run_dense(fn, *args):
 
 
 def forward_backward(net, x, grad):
-    out, cache = net.forward_normalized(x)
+    out, cache = net.forward_normalized(net.prepare(x))
     return out, cache, net.backward(cache, grad)
 
 

@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -32,3 +33,26 @@ def test_network_calls_the_public_squash_kernels(kernel):
     network = importlib.import_module("softlogic.network")
     operators = importlib.import_module("softlogic.operators")
     assert getattr(network, kernel) is getattr(operators, kernel)
+
+
+def test_every_dense_part_gathers_through_operands(monkeypatch):
+    # The tracer's network.operands span times this gather; a dense part
+    # that gathered inline would leave the span reading 0.
+    network = importlib.import_module("softlogic.network")
+    operands, calls = network.PairingTable.operands, []
+
+    def counting(self, unit):
+        calls.append(unit.shape)
+        return operands(self, unit)
+
+    monkeypatch.setattr(network.PairingTable, "operands", counting)
+    net = network.build_network(4, 2, network.NetworkConfig(hidden_width=3, logic_parts=2))
+    rng = np.random.default_rng(0)
+    _, cache = net.forward(rng.uniform(-1.0, 1.0, size=(20, 4)))
+    assert cache.gate_codes == [None, None]
+    assert calls == [(20, 6), (20, 5)]
+    # A few-valued batch takes part 0's table, which gathers level codes.
+    calls.clear()
+    _, cache = net.forward(rng.choice([-1.0, 1.0], size=(20, 4)))
+    assert cache.gate_codes[0] is not None
+    assert calls == [(20, 5)]

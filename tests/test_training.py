@@ -314,12 +314,13 @@ def test_fuzzy_and_baseline_see_identical_validation_split():
 
 def reference_fit(model, dataset, config, penalty, update):
     """The training loop spelt out on the public per-batch forward: each
-    minibatch's normalized rows go through ``forward_normalized`` as they
-    are.  Returns the log; the model ends on its best snapshot."""
+    minibatch's normalized rows are prepared on their own and run through
+    ``forward_normalized``.  Returns the log; the model ends on its best
+    snapshot."""
     model.norm_low, model.norm_high = fit_normalization(dataset.features)
     model.bump_version()
     train_part, val_part = split_dataset(dataset, config.validation_fraction,
-                                         seed=config.seed, stratified=True)
+                                         seed=config.seed)
     rows = model.normalize(train_part.features)
     targets = _targets(train_part.labels, model.class_count)
     rng = np.random.default_rng(config.seed)
@@ -329,7 +330,7 @@ def reference_fit(model, dataset, config, penalty, update):
         losses = []
         for start in range(0, rows.shape[0], config.batch_size):
             idx = order[start:start + config.batch_size]
-            outputs, cache = model.forward_normalized(rows[idx])
+            outputs, cache = model.forward_normalized(model.prepare(rows[idx]))
             err = model.scores(outputs) - targets[idx]
             losses.append(float(np.mean(err ** 2))
                           + config.l1_regularization * penalty(model))
