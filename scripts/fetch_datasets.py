@@ -20,11 +20,7 @@ from softlogic.benchmark import BENCHMARKS, resolve_data_dir
 
 
 def sha256_of(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def structural_check(path: Path, expected_rows: int, expected_columns: int) -> None:

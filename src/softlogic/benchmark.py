@@ -17,7 +17,6 @@ them is unknown, so matching them exactly is not a goal.
 from __future__ import annotations
 
 import csv
-import json
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -217,7 +216,7 @@ def run_benchmark(data_dir: str | Path | None = None, seeds: int = 5,
             continue
         try:
             dataset = _load_benchmark(spec, directory)
-        except (FileNotFoundError, DataError, json.JSONDecodeError) as exc:
+        except (FileNotFoundError, DataError) as exc:
             rows.append(BenchmarkRow(
                 key=spec.key,
                 status="SKIPPED",

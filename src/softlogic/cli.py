@@ -44,29 +44,11 @@ from .network import (
     NetworkConfig,
     ShapeMismatchError,
     build_network,
-    serialize_model,
 )
 from .operators import SquashParams, cut, squash
 from .training import TrainConfig, TrainingDivergedError, evaluate, train, write_training_log
 
 __all__ = ["main"]
-
-
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _load_config_file(path: str | None) -> dict:
-    if not path:
-        return {}
-    data = json.loads(Path(path).read_text())
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: config file must hold a JSON object")
-    return data
 
 
 def _setting(name: str, value, kind: type):
@@ -87,7 +69,10 @@ class _Options:
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
-        self.config = _load_config_file(getattr(args, "config", None))
+        path = getattr(args, "config", None)
+        self.config = json.loads(Path(path).read_text()) if path else {}
+        if not isinstance(self.config, dict):
+            raise ValueError(f"{path}: config file must hold a JSON object")
         self.unread = set(self.config)
 
     def get(self, name: str, default):
@@ -113,15 +98,6 @@ class _Options:
             )
 
 
-def _load_dataset(data_path: str, schema_path: str):
-    schema = load_schema(schema_path)
-    return load_csv(data_path, schema)
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def _file_path(path: Path) -> Path:
     """``path`` if a file can be written there: not a directory, and its
     directory exists."""
@@ -140,7 +116,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     log_path = _file_path(Path(args.log) if args.log else out_path.with_suffix(".log.csv"))
     manifest_path = _file_path(Path(args.manifest) if args.manifest
                                else out_path.with_suffix(".manifest.json"))
-    dataset = _load_dataset(args.data, args.schema)
+    dataset = load_csv(args.data, load_schema(args.schema))
     net = build_network(
         dataset.feature_count, dataset.class_count, net_config,
         feature_names=dataset.feature_names,
@@ -148,27 +124,27 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     result = train(net, dataset, train_config)
 
-    out_path.write_text(serialize_model(result.network))
+    result.network.save(out_path)
     write_training_log(result.log, log_path)
     network = asdict(net_config)
-    _write_json(manifest_path, {
+    manifest_path.write_text(json.dumps({
         "command": "train",
         "version": __version__,
         "dataset": {
             "path": str(args.data),
-            "sha256": _sha256(Path(args.data)),
+            "sha256": hashlib.sha256(Path(args.data).read_bytes()).hexdigest(),
             "rows": dataset.row_count,
             "features": dataset.feature_count,
             "classes": dataset.class_count,
         },
         "schema": {
             "path": str(args.schema),
-            "sha256": _sha256(Path(args.schema)),
+            "sha256": hashlib.sha256(Path(args.schema).read_bytes()).hexdigest(),
         },
         "network": {key: network[key] for key in
                     ("hidden_width", "logic_parts", "alpha_init", "seed")},
         "training": asdict(train_config),
-    })
+    }, indent=2, sort_keys=True) + "\n")
     print(f"model written to {out_path}")
     print(f"log written to {log_path}")
     print(f"manifest written to {manifest_path}")
@@ -179,14 +155,14 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     net = LogicNetwork.load(args.model)
-    dataset = _load_dataset(args.data, args.schema)
+    dataset = load_csv(args.data, load_schema(args.schema))
     # Class indices are per-file (first occurrence), so align the eval
     # file's numbering with the order the model was trained on.
     if net.label_names:
         dataset = relabel(dataset, net.label_names)
     metrics = evaluate(net, dataset)
     if args.json:
-        print(json.dumps(metrics.to_dict(), indent=2))
+        print(json.dumps(asdict(metrics), indent=2))
     else:
         print(f"misclassification rate: {metrics.misclassification_rate:.4f}"
               f" over {metrics.count} rows")
@@ -210,9 +186,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
     net = LogicNetwork.load(args.model)
     if args.data:
         if not args.schema:
-            print("--data requires --schema", file=sys.stderr)
-            return 2
-        features = _load_dataset(args.data, args.schema).features
+            raise ValueError("--data requires --schema")
+        features = load_csv(args.data, load_schema(args.schema)).features
     else:
         # No data given: sample the raw feature box the model was fitted on.
         rng = np.random.default_rng(seed)
@@ -362,9 +337,9 @@ def main(argv=None) -> int:
         kind = "missing input" if isinstance(exc, FileNotFoundError) else "unusable path"
         print(f"{kind}: {exc}", file=sys.stderr)
         return 2
-    # DataError and ConfigurationError are ValueErrors; anything else in the
-    # family means a flag or file carried an unusable value.
-    except (ValueError, json.JSONDecodeError) as exc:
+    # DataError, ConfigurationError and json.JSONDecodeError are ValueErrors;
+    # anything else in the family means a flag or file carried an unusable value.
+    except ValueError as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return 2
 

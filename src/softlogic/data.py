@@ -94,7 +94,7 @@ def load_schema(path: str | Path) -> list[ColumnSchema]:
     [{"name": ..., "kind": ...}, ...]}`` with exactly one label column."""
     try:
         raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:       # not JSON, or not UTF-8 text
         raise DataError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise DataError(f"{path}: schema must be a JSON object")

@@ -289,6 +289,8 @@ class LogicNetwork:
             raise ShapeMismatchError(
                 f"expected (*, {self.feature_count}) features, got {arr.shape}"
             )
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("features must be finite")
         return self.forward_normalized(self.prepare(self.normalize(arr)))
 
     def forward_normalized(self, rows: PreparedRows) -> tuple[np.ndarray, ForwardCache]:
@@ -309,7 +311,7 @@ class LogicNetwork:
         probe = math.isqrt(batch)
         # A table needs n < probe; a set over probe entries rejects
         # continuous data before the sort in np.unique.
-        if rows.ndim == 2 and len(set(rows.flat[:probe].tolist())) < probe:
+        if len(set(rows.flat[:probe].tolist())) < probe:
             levels, inverse = np.unique(rows, return_inverse=True)
             n = levels.size
             if n * (n + 2) < batch:

@@ -70,13 +70,6 @@ class Metrics:
     confusion: tuple[tuple[int, ...], ...]
     count: int
 
-    def to_dict(self) -> dict:
-        return {
-            "misclassification_rate": self.misclassification_rate,
-            "confusion": [list(row) for row in self.confusion],
-            "count": self.count,
-        }
-
 
 @dataclass
 class TrainResult:
@@ -156,10 +149,13 @@ def _fit(model, dataset: Dataset, config: TrainConfig, penalty_term,
         losses = []
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            outputs, cache = model.forward_normalized(rows[idx])
-            err = model.scores(outputs) - targets[idx]
-            loss = (float(np.add.reduce(err ** 2, axis=None)) / err.size
-                    + config.l1_regularization * penalty_term(model))
+            # The penalty goes first: overflowed selectors can turn a later
+            # part's gate arguments to NaN, which the forward pass rejects.
+            loss = config.l1_regularization * penalty_term(model)
+            if math.isfinite(loss):
+                outputs, cache = model.forward_normalized(rows[idx])
+                err = model.scores(outputs) - targets[idx]
+                loss = float(np.add.reduce(err ** 2, axis=None)) / err.size + loss
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch},"

@@ -133,6 +133,20 @@ def test_train_non_finite_rate_exits_2(tmp_path, corpus, capsys, flag, field, va
     assert not out.exists()
 
 
+def test_train_divergence_of_a_2_part_net_exits_3(tmp_path, capsys):
+    ds = generate_synthetic(Gate(OperatorKind.CONJUNCTION, 1.0, Leaf(0), Leaf(1)),
+                            feature_count=3, rows=300, seed=0)
+    data, schema = tmp_path / "and.csv", tmp_path / "and.schema.json"
+    save_csv(ds, data)
+    schema.write_text(json.dumps(numeric_schema(ds.feature_names)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out = run_train(tmp_path, data, schema, extra=(
+            "--learning-rate", "1e300", "--l1", "1e10", "--logic-parts", "2"))
+    assert code == 3
+    assert "training diverged" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------- eval
 
 
@@ -215,6 +229,36 @@ def test_eval_corrupt_model_exits_2(tmp_path, corpus, capsys):
     code = main(["eval", "--model", str(bad), "--data", str(data),
                  "--schema", str(schema)])
     assert code == 2
+
+
+def test_eval_of_a_nan_feature_exits_2(tmp_path, corpus, capsys):
+    data, schema = corpus
+    _, model = run_train(tmp_path, data, schema)
+    holed = tmp_path / "holed.csv"
+    lines = data.read_text().splitlines()
+    lines[1] = "nan," + lines[1].split(",", 1)[1]
+    holed.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["eval", "--model", str(model), "--data", str(holed),
+                 "--schema", str(schema)])
+    assert code == 2
+    assert "bad input: features must be finite" in capsys.readouterr().err
+
+
+def test_eval_json_of_a_3_class_model_is_the_metrics_record(tmp_path, corpus, capsys):
+    _, schema = corpus
+    net = build_network(3, 3, NetworkConfig(hidden_width=2), label_names=["a", "b", "c"])
+    model = saved_model(tmp_path, net=net)
+    three = tmp_path / "three.csv"
+    three.write_text("0.1,0.2,0.3,a\n0.4,0.5,0.6,b\n0.7,0.8,0.9,c\n0.2,0.1,0.0,a\n")
+    assert main(["eval", "--model", str(model), "--data", str(three),
+                 "--schema", str(schema), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == ["misclassification_rate", "confusion", "count"]
+    confusion = payload["confusion"]
+    assert isinstance(confusion, list) and all(isinstance(row, list) for row in confusion)
+    assert [len(row) for row in confusion] == [3, 3, 3]
+    assert [sum(row) for row in confusion] == [2, 1, 1] and payload["count"] == 4
 
 
 # -------------------------------------------------------------- extract

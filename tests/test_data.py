@@ -70,6 +70,10 @@ def test_load_schema_requires_exactly_one_label(tmp_path):
 def test_load_schema_rejects_bad_json_and_kinds(tmp_path):
     with pytest.raises(DataError):
         load_schema(write(tmp_path, "broken.json", "{not json"))
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"columns": [{"name": "caf\xe9", "kind": "label"}]}')
+    with pytest.raises(DataError, match="latin1.json: invalid JSON"):
+        load_schema(latin1)
     path = schema_file(tmp_path, [
         {"name": "a", "kind": "floatingpoint"},
         {"name": "y", "kind": "label"}])

@@ -533,8 +533,8 @@ def test_nan_feature_raises_the_same_error_on_either_path():
         with pytest.raises(ValueError) as caught:
             forward(x)
         messages.append(str(caught.value))
-    assert messages[0] == messages[1] == "x must be finite"
-    # The table path was the one taken: the same batch without the NaN gets one.
+    assert messages[0] == messages[1] == "features must be finite"
+    # The batch is one the table path takes: without the NaN it gets one.
     x[-1, 2] = 1.0
     assert net.forward(x)[1].gate_codes[0] is not None
 

@@ -2,6 +2,7 @@
 
 import csv
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -86,7 +87,7 @@ def test_evaluate_confusion_and_rate():
     assert m.misclassification_rate == pytest.approx(0.25)
     assert m.confusion == ((1, 0, 0), (0, 1, 0), (0, 1, 1))
     assert m.count == 4
-    assert m.to_dict()["confusion"][2] == [0, 1, 1]
+    assert asdict(m)["confusion"][2] == (0, 1, 1)
 
 
 # ------------------------------------------------------------- training
@@ -204,6 +205,15 @@ def test_divergent_baseline_raises():
         train_baseline(net, ds, cfg)
 
 
+@pytest.mark.parametrize("parts", [1, 2, 3])
+def test_divergent_logic_net_raises(parts):
+    cfg = quick_config(learning_rate=1e300, l1_regularization=1e10)
+    # Overflowed part-0 selectors turn a later part's gate arguments NaN;
+    # the penalty is checked before the forward pass that would reject them.
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDivergedError):
+        train(small_net(logic_parts=parts), and_dataset(), cfg)
+
+
 # ------------------------------------------------------------- baseline
 
 
@@ -219,6 +229,16 @@ def test_baseline_config_validation():
         BaselineConfig(widths=(3,))
     with pytest.raises(ValueError):
         BaselineConfig(widths=(3, 0, 1))
+
+
+def test_baseline_rejects_non_finite_features():
+    net = build_baseline(BaselineConfig(widths=(3, 5, 1)), 2)
+    features = np.zeros((4, 3))
+    features[1, 2] = np.nan
+    ds = Dataset(features=features, labels=np.array([0, 1, 0, 1]),
+                 feature_names=["a", "b", "c"], class_count=2)
+    with pytest.raises(ValueError, match="features must be finite"):
+        evaluate(net, ds)
 
 
 def test_baseline_forward_checks_feature_width():
