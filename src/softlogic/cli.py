@@ -21,6 +21,7 @@ import inspect
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -325,23 +326,27 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ShapeMismatchError as exc:
-        print(f"shape mismatch: {exc}", file=sys.stderr)
-        return 4
-    except TrainingDivergedError as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:      # missing, a directory, unreadable; names the path
-        kind = "missing input" if isinstance(exc, FileNotFoundError) else "unusable path"
-        print(f"{kind}: {exc}", file=sys.stderr)
-        return 2
-    # DataError, ConfigurationError and json.JSONDecodeError are ValueErrors;
-    # anything else in the family means a flag or file carried an unusable value.
-    except ValueError as exc:
-        print(f"bad input: {exc}", file=sys.stderr)
-        return 2
+    # One line per warning; the filters that decide which ones show stay.
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}",
+                                                         file=sys.stderr)
+        try:
+            return args.func(args)
+        except ShapeMismatchError as exc:
+            print(f"shape mismatch: {exc}", file=sys.stderr)
+            return 4
+        except TrainingDivergedError as exc:
+            print(f"training diverged: {exc}", file=sys.stderr)
+            return 3
+        except OSError as exc:      # missing, a directory, unreadable; names the path
+            kind = "missing input" if isinstance(exc, FileNotFoundError) else "unusable path"
+            print(f"{kind}: {exc}", file=sys.stderr)
+            return 2
+        # DataError, ConfigurationError and json.JSONDecodeError are ValueErrors;
+        # anything else in the family means a flag or file carried an unusable value.
+        except ValueError as exc:
+            print(f"bad input: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -113,7 +113,7 @@ class PairingTable:
 
     def operands(self, unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gather left/right operands along the last axis of a batch of
-        unit-domain augmented inputs, :attr:`PreparedRows.unit`."""
+        unit-domain augmented inputs ``([x, +1, -1] + 1) / 2``."""
         # Fancy indexing, not take: the operands come out column-major, and
         # the selector matmul's rounding depends on that layout.
         return unit[..., self.left_idx], unit[..., self.right_idx]
@@ -135,32 +135,33 @@ class PairingTable:
 
 
 class PreparedRows:
-    """A logic part's input, built once and gathered per minibatch: the
-    unit-domain augmented input ``([x, +1, -1] + 1) / 2`` of shape
-    (rows, inputs + 2), or for part 0's few distinct values the augmented
-    columns' level codes, (features + 2, rows), the distinct unit-domain
-    operand sums and, per (left, right) code pair, the flat offset of its
-    sum's row in a (sums, slots) table."""
+    """A logic part's gate arguments before ``alpha``, built once and
+    gathered per minibatch: the operand sums of dense rows, (rows, slots),
+    or for part 0's few distinct values the distinct operand sums, (sums,
+    1), with ``flat`` the (slots, rows) index of each gate value in the
+    (sums, slots) table, which is None for dense rows."""
 
-    __slots__ = ("unit", "codes", "sums", "offsets")
+    __slots__ = ("args", "flat")
 
-    def __init__(self, unit=None, codes=None, sums=None, offsets=None):
-        self.unit, self.codes, self.sums, self.offsets = unit, codes, sums, offsets
+    def __init__(self, args, flat=None):
+        self.args, self.flat = args, flat
 
     @classmethod
-    def dense(cls, x: np.ndarray) -> "PreparedRows":
-        """The unit-domain augmented input of signed ``x``, whose leading
-        axes pass through."""
+    def dense(cls, x: np.ndarray, table: PairingTable) -> "PreparedRows":
+        """The operand sums of signed ``x`` on the unit interval, where
+        ``table`` pairs ``[x, +1, -1]``; leading axes pass through."""
         augmented = np.empty(x.shape[:-1] + (x.shape[-1] + 2,))
         augmented[..., :-2] = x
         augmented[..., -2:] = (1.0, -1.0)
-        return cls((augmented + 1.0) / 2.0)
+        # No names for the operands: they die in the sum.
+        return cls(np.add(*table.operands((augmented + 1.0) / 2.0)))
 
     def __getitem__(self, idx) -> "PreparedRows":
-        """The prepared input of rows ``idx``."""
-        if self.codes is None:
-            return PreparedRows(self.unit[idx])
-        return PreparedRows(None, self.codes[:, idx], self.sums, self.offsets)
+        """The prepared input of rows ``idx``, column-major like the
+        operands, since the selector matmul's rounding depends on that."""
+        if self.flat is None:
+            return PreparedRows(np.take(self.args.T, idx, axis=-1).T)
+        return PreparedRows(self.args, self.flat[:, idx])
 
 
 @dataclass(frozen=True)
@@ -302,13 +303,14 @@ class LogicNetwork:
         return cache.outputs, cache
 
     def prepare(self, rows: np.ndarray, batch: int | None = None) -> PreparedRows:
-        """Part 0's input for normalized ``rows`` that are run ``batch`` rows
-        at a time (default: all at once).  Part 0 evaluates its gates once
-        per distinct operand sum and gathers them per row when the rows take
-        so few distinct values ``n`` that ``n * (n + 2)`` operand pairs are
-        fewer than a batch's rows."""
+        """Part 0's gate arguments for normalized ``rows`` that are run
+        ``batch`` rows at a time (default: all at once).  Part 0 evaluates
+        its gates once per distinct operand sum and gathers them per row
+        when the rows take so few distinct values ``n`` that ``n * (n + 2)``
+        operand pairs are fewer than a batch's rows."""
         batch = rows.shape[0] if batch is None else min(batch, rows.shape[0])
         probe = math.isqrt(batch)
+        table = self.pairing_tables[0]
         # A table needs n < probe; a set over probe entries rejects
         # continuous data before the sort in np.unique.
         if len(set(rows.flat[:probe].tolist())) < probe:
@@ -321,9 +323,13 @@ class LogicNetwork:
                 codes = np.empty((rows.shape[1] + 2, rows.shape[0]), dtype=np.intp)
                 codes[:-2] = inverse.reshape(rows.shape).T
                 codes[-2:] = [[n], [n + 1]]
-                offsets = sum_idx.reshape(n, n + 2) * self.pairing_tables[0].width_out
-                return PreparedRows(None, codes, sums, offsets)
-        return PreparedRows.dense(rows)
+                flat = codes[table.left_idx] * (n + 2) + codes[table.right_idx]
+                flat = (sum_idx.ravel() * table.width_out)[flat]
+                flat += np.arange(table.width_out)[:, None]
+                # Minibatches gather whole F-order columns; np.take reads C-order uncopied.
+                order = "F" if batch < rows.shape[0] else "C"
+                return PreparedRows(sums[:, None], np.asarray(flat, order=order))
+        return PreparedRows.dense(rows, table)
 
     def _run_parts(self, x, first: int, cache: ForwardCache | None = None) -> np.ndarray:
         """Part ``first`` and every later one, from the signed inputs
@@ -332,19 +338,10 @@ class LogicNetwork:
         Activations are appended to ``cache`` when one is given."""
         parts = len(self.pairing_tables)
         for p in range(first, parts):
-            table, codes = self.pairing_tables[p], None
             if p > 0:
                 # Gates evaluate on [0, 1]; layers exchange signed values.
-                x = PreparedRows.dense(x)
-            if x.codes is None:
-                # No names for the operands: they die before the squash.
-                t = np.add(*table.operands(x.unit)) - self.alphas[p]
-            else:
-                # Flat (slots, rows) indices into the (sums, slots) table, by
-                # way of each (left, right) code pair; no index array outlives this.
-                codes = x.codes[table.left_idx] * x.offsets.shape[1] + x.codes[table.right_idx]
-                codes = x.offsets.ravel()[codes] + np.arange(table.width_out)[:, None]
-                t = x.sums[:, None] - self.alphas[0]
+                x = PreparedRows.dense(x, self.pairing_tables[p])
+            t, codes = x.args - self.alphas[p], x.flat
             gate = _per_row(2.0 * squash(t, self.config.squash) - 1.0, codes)
             pre = gate @ self.selectors[p].T
             x = self._activate(p, pre)

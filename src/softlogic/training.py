@@ -56,6 +56,9 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive and finite")
         if not (math.isfinite(self.l1_regularization) and self.l1_regularization >= 0):
             raise ValueError("l1_regularization must be nonnegative and finite")
+        for name in ("max_epochs", "patience", "batch_size", "seed"):
+            if type(getattr(self, name)) is not int:    # bool is not an int here
+                raise ValueError(f"{name} must be an integer")
         if self.max_epochs < 1 or self.patience < 1:
             raise ValueError("max_epochs and patience must be at least 1")
         if self.batch_size < 1:
@@ -147,24 +150,29 @@ def _fit(model, dataset: Dataset, config: TrainConfig, penalty_term,
         epochs_run = epoch
         order = rng.permutation(n)
         losses = []
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            # The penalty goes first: overflowed selectors can turn a later
-            # part's gate arguments to NaN, which the forward pass rejects.
-            loss = config.l1_regularization * penalty_term(model)
-            if math.isfinite(loss):
-                outputs, cache = model.forward_normalized(rows[idx])
-                err = model.scores(outputs) - targets[idx]
-                loss = float(np.add.reduce(err ** 2, axis=None)) / err.size + loss
-            if not math.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch},"
-                    f" batch {start // config.batch_size}"
-                )
-            losses.append(loss)
-            # d(mse)/d(signed output) = 2 err / size * d(score)/d(output).
-            grads = model.backward(cache, err / err.size)
-            apply_updates(model, grads, config)
+        # Overflow is checked as a non-finite loss, so numpy need not warn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, n, config.batch_size):
+                idx = order[start:start + config.batch_size]
+                # The penalty goes first: overflowed selectors can turn a later
+                # part's gate arguments to NaN, which the forward pass rejects.
+                loss = config.l1_regularization * penalty_term(model)
+                if math.isfinite(loss):
+                    outputs, cache = model.forward_normalized(rows[idx])
+                    err = model.scores(outputs) - targets[idx]
+                    loss = float(np.add.reduce(err ** 2, axis=None)) / err.size + loss
+                if not math.isfinite(loss):
+                    raise TrainingDivergedError(
+                        f"non-finite loss at epoch {epoch},"
+                        f" batch {start // config.batch_size}"
+                    )
+                losses.append(loss)
+                # d(mse)/d(signed output) = 2 err / size * d(score)/d(output).
+                grads = model.backward(cache, err / err.size)
+                apply_updates(model, grads, config)
+            # The last update is checked before validation can keep it.
+            if not math.isfinite(config.l1_regularization * penalty_term(model)):
+                raise TrainingDivergedError(f"non-finite penalty after epoch {epoch}")
         val_classes = model.decide(model.forward_normalized(val_rows)[0])
         val_rate = _metrics(model.class_count, val_part.labels,
                             val_classes).misclassification_rate

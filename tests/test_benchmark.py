@@ -20,6 +20,7 @@ from softlogic.benchmark import (
 from softlogic.data import generate_synthetic
 from softlogic.expressions import Gate, Leaf
 from softlogic.operators import OperatorKind
+from softlogic import training
 from softlogic.training import TrainConfig
 
 REPO_DATASETS = Path(__file__).resolve().parent.parent / "datasets"
@@ -108,6 +109,26 @@ def test_run_one_produces_complete_row():
     assert 0.0 <= row.dnn_rate <= 1.0
     assert row.expression
     assert "per-seed" in row.detail
+
+
+def test_run_one_seeds_the_baseline_like_the_logic_network(monkeypatch):
+    dataset = generate_synthetic(
+        Gate(OperatorKind.CONJUNCTION, 1.0, Leaf(0), Leaf(1)),
+        feature_count=3, rows=60, seed=0)
+    spec = BenchmarkSpec(
+        key="toy", data_file="toy.data",
+        schema_file="toy.schema.json", url="https://example.org/toy",
+        paper_fuzzy=0.2, paper_dnn=0.1,
+        expected_rows=60, expected_columns=4)
+    build, seeds = training.build_baseline, []
+
+    def spy(config, class_count):
+        seeds.append(config.seed)
+        return build(config, class_count)
+
+    monkeypatch.setattr(training, "build_baseline", spy)
+    _run_one(spec, dataset, range(3), 0.30, 4, TrainConfig(max_epochs=1, patience=1))
+    assert seeds == [0, 1, 2]
 
 
 # ------------------------------------------------------------ reporting

@@ -105,6 +105,16 @@ def test_config_file_supplies_defaults_but_flags_win(tmp_path, corpus):
     assert manifest["network"]["logic_parts"] == 2       # flag beats config
 
 
+def test_config_file_of_a_json_list_exits_2(tmp_path, corpus, capsys):
+    data, schema = corpus
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    code, out = run_train(tmp_path, data, schema, extra=("--config", str(cfg)))
+    assert code == 2
+    assert "config file must hold a JSON object" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_missing_data_exits_2(tmp_path, corpus, capsys):
     _, schema = corpus
     code = main(["train", "--data", str(tmp_path / "nope.csv"),
@@ -133,18 +143,73 @@ def test_train_non_finite_rate_exits_2(tmp_path, corpus, capsys, flag, field, va
     assert not out.exists()
 
 
-def test_train_divergence_of_a_2_part_net_exits_3(tmp_path, capsys):
+def and_corpus(tmp_path):
+    """A 300-row planted-``and`` CSV and its schema."""
     ds = generate_synthetic(Gate(OperatorKind.CONJUNCTION, 1.0, Leaf(0), Leaf(1)),
                             feature_count=3, rows=300, seed=0)
     data, schema = tmp_path / "and.csv", tmp_path / "and.schema.json"
     save_csv(ds, data)
     schema.write_text(json.dumps(numeric_schema(ds.feature_names)))
+    return data, schema
+
+
+def test_train_divergence_of_a_2_part_net_exits_3(tmp_path, capsys):
+    data, schema = and_corpus(tmp_path)
     with np.errstate(over="ignore", invalid="ignore"):
         code, out = run_train(tmp_path, data, schema, extra=(
             "--learning-rate", "1e300", "--l1", "1e10", "--logic-parts", "2"))
     assert code == 3
     assert "training diverged" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_train_divergence_in_the_last_update_exits_3(tmp_path, capsys):
+    # The one update of the one epoch overflows; no model may keep it.
+    data, schema = and_corpus(tmp_path)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out = run_train(tmp_path, data, schema, extra=(
+            "--learning-rate", "1e300", "--l1", "1e10", "--max-epochs", "1",
+            "--batch-size", "1000", "--logic-parts", "1"))
+    assert code == 3
+    assert "training diverged" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def run_cli_child(*args):
+    """``softlogic *args`` in a fresh interpreter, under Python's default
+    warning filters."""
+    return run_child("import sys; from softlogic.cli import main; sys.exit(main(sys.argv[1:]))",
+                     *args)
+
+
+def test_divergence_prints_one_line_on_stderr(tmp_path):
+    data, schema = and_corpus(tmp_path)
+    proc = run_cli_child("train", "--data", str(data), "--schema", str(schema),
+                         "--out", str(tmp_path / "m.json"), "--learning-rate", "1e300",
+                         "--l1", "1e10", "--logic-parts", "2")
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("training diverged: ")
+
+
+def test_data_warnings_print_one_line_each_on_stderr(tmp_path):
+    # A third category in a binary column, and a class with one row.
+    schema = tmp_path / "warn.schema.json"
+    schema.write_text(json.dumps({"columns": [
+        {"name": "num", "kind": "numeric"},
+        {"name": "bin", "kind": "binary_categorical"},
+        {"name": "y", "kind": "label"},
+    ]}))
+    rows = [f"{i / 7:.3f},{'yn'[i % 2]},{'ab'[i % 3 == 0]}" for i in range(40)]
+    rows += ["0.5,z,c"]
+    data = tmp_path / "warn.csv"
+    data.write_text("\n".join(rows) + "\n")
+    proc = run_cli_child("train", "--data", str(data), "--schema", str(schema),
+                         "--out", str(tmp_path / "m.json"), "--max-epochs", "2")
+    assert proc.returncode == 0
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 2 and all(line.startswith("warning: ") for line in lines)
+    assert "'bin'" in lines[0] and "single instance" in lines[1]
 
 
 # ----------------------------------------------------------------- eval
@@ -316,15 +381,30 @@ def test_extract_data_without_schema_exits_2(tmp_path, corpus, capsys):
     assert "requires --schema" in capsys.readouterr().err
 
 
-def test_extract_leaf_names_substitutes_features(tmp_path, corpus, capsys):
-    data, schema = corpus
-    _, model = run_train(tmp_path, data, schema)
-    capsys.readouterr()
-    code = main(["extract", "--model", str(model), "--samples", "100",
+def and_gate_model(tmp_path):
+    """A saved 1-part model whose output reads slot 0, the pair (x0, x1),
+    at alpha 1: a conjunction."""
+    net = build_network(3, 2, NetworkConfig(logic_parts=1),
+                        feature_names=["x0", "x1", "x2"])
+    net.alphas[0][0] = 1.0
+    net.selectors[0][:] = 0.0
+    net.selectors[0][0, 0] = 1.0
+    path = tmp_path / "and-gate.json"
+    net.save(path)
+    return path
+
+
+def test_extract_prints_a_short_expression(tmp_path, capsys):
+    code = main(["extract", "--model", str(and_gate_model(tmp_path)), "--samples", "100"])
+    assert code == 0
+    assert capsys.readouterr().out == "output 0: (0)  [faithfulness 1.0000]\n"
+
+
+def test_extract_leaf_names_substitutes_features(tmp_path, capsys):
+    code = main(["extract", "--model", str(and_gate_model(tmp_path)), "--samples", "100",
                  "--leaf-names"])
     assert code == 0
-    out = capsys.readouterr().out
-    assert "x0" in out or "x1" in out or "x2" in out or "omitted" in out
+    assert capsys.readouterr().out == "output 0: (x0 and x1)  [faithfulness 1.0000]\n"
 
 
 # ------------------------------------------------------------ benchmark
@@ -409,9 +489,7 @@ def run_child(code, *args):
 
 
 def test_console_script_runs(tmp_path):
-    proc = run_child(
-        "import sys; from softlogic.cli import main; sys.exit(main(sys.argv[1:]))",
-        "plot-squash", "--out", str(tmp_path / "c.csv"))
+    proc = run_cli_child("plot-squash", "--out", str(tmp_path / "c.csv"))
     assert proc.returncode == 0
     assert (tmp_path / "c.csv").exists()
 
@@ -691,6 +769,8 @@ def _edit(path, value=_DELETE):
                  id="class-count-of-one"),
     pytest.param(_edit(["class_count"], True), "class_count must be an integer",
                  id="boolean-class-count"),
+    pytest.param(lambda payload: payload["selectors"][-1].append(payload["selectors"][-1][0]),
+                 "final selector emits 2, expected 1", id="final-selector-of-two-rows"),
 ])
 def test_malformed_model_file_exits_2(tmp_path, corpus, capsys, edit, message):
     data, schema = corpus

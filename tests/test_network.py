@@ -14,7 +14,6 @@ from softlogic.network import (
     LogicNetwork,
     NetworkConfig,
     PairingTable,
-    PreparedRows,
     ShapeMismatchError,
     StaleCacheError,
     build_network,
@@ -28,6 +27,13 @@ def toy_net(feature_count=4, class_count=2, **kwargs):
     defaults = dict(hidden_width=4, logic_parts=2, seed=7)
     defaults.update(kwargs)
     return build_network(feature_count, class_count, NetworkConfig(**defaults))
+
+
+def unit_input(x):
+    """The unit-domain augmented input ``([x, +1, -1] + 1) / 2`` that a
+    pairing table gathers from; leading axes pass through."""
+    constants = np.broadcast_to([1.0, -1.0], x.shape[:-1] + (2,))
+    return (np.concatenate([x, constants], axis=-1) + 1.0) / 2.0
 
 
 # ------------------------------------------------------------ pairings
@@ -73,7 +79,7 @@ def test_pairing_validation():
 def test_pairing_table_operands_inject_signed_constants():
     table = PairingTable.standard(2)
     x = np.array([[0.4, -0.6]])
-    left, right = table.operands(PreparedRows.dense(x).unit)
+    left, right = table.operands(unit_input(x))
     # Slots: (0,1), T0, T1, F0, F1, on the unit interval.
     assert left.tolist() == [[0.7, 0.7, 0.2, 0.7, 0.2]]
     assert right.tolist() == [[0.2, 1.0, 1.0, 0.0, 0.0]]
@@ -107,7 +113,7 @@ def test_pairing_table_matches_per_slot_reference(layer):
     width, items, x, g = layer
     table = PairingTable.from_json(width, items)
     assert table.to_json() == items
-    left, right = table.operands(PreparedRows.dense(x).unit)
+    left, right = table.operands(unit_input(x))
     unit = (x + 1.0) / 2.0
     constant = {"true": 1.0, "false": 0.0}
     for s, (kind, i, *partner) in enumerate(items):
@@ -263,7 +269,7 @@ def gate_slot_value(net, signed_inputs, alpha, slot=0):
     net.alphas[0][slot] = alpha
     net.bump_version()
     x = np.asarray(signed_inputs, dtype=float)[None, :]
-    left, right = net.pairing_tables[0].operands(PreparedRows.dense(x).unit)
+    left, right = net.pairing_tables[0].operands(unit_input(x))
     t = left + right - net.alphas[0]
     from softlogic.operators import squash
     return float(2 * squash(t[0, slot], net.config.squash) - 1)
@@ -500,6 +506,28 @@ def test_continuous_rows_keep_per_row_gate_arguments():
     _, cache = net.forward(np.random.default_rng(1).uniform(-1, 1, size=(64, 4)))
     assert cache.gate_pre[0].shape == (64, net.alphas[0].size)
     assert cache.gate_codes == [None, None]
+
+
+@pytest.mark.parametrize("levels", [None, [-1.0, 1.0]], ids=["dense", "table"])
+def test_prepared_split_gathers_like_a_batch_prepared_alone(levels):
+    # Part 0's gate arguments are built once per split and gathered per
+    # minibatch; a gathered batch must run bit for bit, and in the same
+    # memory layout, as that batch prepared on its own.
+    net = toy_net(feature_count=4)
+    rng = np.random.default_rng(5)
+    x = (rng.uniform(-1.0, 1.0, size=(64, 4)) if levels is None
+         else rng.choice(levels, size=(64, 4)))
+    prepared, slots = net.prepare(x, 16), net.alphas[0].size
+    if levels is None:
+        assert prepared.args.shape == (64, slots) and prepared.flat is None
+    else:
+        assert prepared.args.shape == (3, 1) and prepared.flat.shape == (slots, 64)
+    idx = rng.permutation(64)[:16]
+    out, cache = net.forward_normalized(prepared[idx])
+    alone_out, alone = net.forward_normalized(net.prepare(x[idx]))
+    assert_same_bits(out, alone_out)
+    assert_same_bits(cache.gate_out[0], alone.gate_out[0])
+    assert cache.gate_out[0].flags.f_contiguous and alone.gate_out[0].flags.f_contiguous
 
 
 @pytest.mark.parametrize("rows", [16, 17, 100])

@@ -13,6 +13,7 @@ from softlogic.data import Dataset, generate_synthetic, split_dataset
 from softlogic.expressions import Gate, Leaf
 from softlogic.network import (
     NetworkConfig,
+    PairingTable,
     ShapeMismatchError,
     build_network,
     fit_normalization,
@@ -69,6 +70,16 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(validation_fraction=1.0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("max_epochs", 2.5), ("patience", 3.0), ("batch_size", 16.0), ("batch_size", True),
+    ("seed", 1.5), ("seed", None), ("max_epochs", np.float64(2.0)),
+])
+def test_train_config_rejects_non_integer_counts(name, value):
+    # A bool is no count, and a float only fails later inside train.
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        TrainConfig(**{name: value})
 
 
 # ------------------------------------------------------------- evaluate
@@ -212,6 +223,16 @@ def test_divergent_logic_net_raises(parts):
     # the penalty is checked before the forward pass that would reject them.
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDivergedError):
         train(small_net(logic_parts=parts), and_dataset(), cfg)
+
+
+def test_divergence_in_the_last_update_raises():
+    # One minibatch per epoch and one epoch: the only update overflows,
+    # and validation must not see (and keep) the overflowed weights.
+    cfg = quick_config(learning_rate=1e300, l1_regularization=1e10, max_epochs=1,
+                       batch_size=1000)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(TrainingDivergedError, match="after epoch 1"):
+        train(small_net(logic_parts=1), and_dataset(), cfg)
 
 
 # ------------------------------------------------------------- baseline
@@ -444,6 +465,22 @@ def test_table_levels_are_found_once_per_train_call(monkeypatch):
     result = train(net, ds, TrainConfig(max_epochs=3, patience=3))
     assert result.epochs_run == 3
     assert found == [170, 30]
+
+
+def test_part_0_operands_are_gathered_once_per_split(monkeypatch):
+    # Part 0's operand sums depend on the data alone: the training and
+    # validation splits are each gathered once, not once per minibatch.
+    operands, calls = PairingTable.operands, []
+
+    def counting(self, unit):
+        calls.append(unit.shape[0])
+        return operands(self, unit)
+
+    monkeypatch.setattr(PairingTable, "operands", counting)
+    result = train(small_net(logic_parts=1), and_dataset(rows=200, seed=3),
+                   quick_config(max_epochs=3, patience=3))
+    assert result.epochs_run == 3
+    assert calls == [170, 30]
 
 
 # ------------------------------------------------------ cross-validation
