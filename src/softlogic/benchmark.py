@@ -110,7 +110,7 @@ class BenchmarkRow:
     paper_dnn: float | None = None
     expression: str = ""
     faithfulness: float | None = None
-    detail: str = ""                  # skip reason or per-seed rates
+    detail: str = ""                  # skip reason
 
 
 CSV_COLUMNS = [
@@ -190,7 +190,6 @@ def _run_one(spec: BenchmarkSpec, dataset: Dataset, seeds: range,
     omit, reason = extraction.should_omit(expr, xcfg)
     expression = f"omitted: {reason}" if omit else render(expr)
     faith = extraction.faithfulness(best[1], expr, best[2].features, xcfg)
-    per_seed = " ".join(f"{r:.3f}" for r in fuzzy_rates)
     return BenchmarkRow(
         key=spec.key,
         status="ok",
@@ -200,7 +199,6 @@ def _run_one(spec: BenchmarkSpec, dataset: Dataset, seeds: range,
         paper_dnn=spec.paper_dnn,
         expression=expression,
         faithfulness=faith,
-        detail=f"per-seed fuzzy rates: {per_seed}",
     )
 
 

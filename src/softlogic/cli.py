@@ -94,7 +94,7 @@ class _Options:
         """Reject config-file keys the subcommand never read."""
         if self.unread:
             raise ConfigurationError(
-                f"unknown config key(s) {', '.join(sorted(self.unread))}"
+                f"unknown config key(s) {', '.join(map(repr, sorted(self.unread)))}"
                 f" for {self.args.command}"
             )
 

@@ -66,7 +66,6 @@ class Dataset:
     feature_names: list[str]
     class_count: int
     label_names: list[str] = field(default_factory=list)
-    encoding_report: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=float)
@@ -109,7 +108,7 @@ def load_schema(path: str | Path) -> list[ColumnSchema]:
     for where, block, known in blocks:
         if set(block) - known:
             raise DataError(f"{path}: {where} has unknown key(s)"
-                            f" {', '.join(sorted(set(block) - known))}")
+                            f" {', '.join(map(repr, sorted(set(block) - known)))}")
     columns = []
     for i, item in enumerate(items):
         columns.append(ColumnSchema(
@@ -141,13 +140,10 @@ def _read_rows(path: Path, width: int) -> list[list[str]]:
     return rows
 
 
-def _encode_numeric(values: list[str], col: ColumnSchema,
-                    report: list[str]) -> tuple[np.ndarray, list[str]]:
+def _encode_numeric(values: list[str], col: ColumnSchema) -> tuple[np.ndarray, list[str]]:
     out = np.zeros(len(values))
-    missing = 0
     for r, v in enumerate(values):
         if v == col.missing_token:
-            missing += 1
             continue
         try:
             out[r] = float(v)
@@ -155,18 +151,12 @@ def _encode_numeric(values: list[str], col: ColumnSchema,
             raise DataError(
                 f"column {col.name!r}: cannot parse {v!r} as a number"
             ) from exc
-    note = f"{col.name}: numeric"
-    if missing:
-        note += f" ({missing} missing mapped to 0)"
-    report.append(note)
     return out[:, None], [col.name]
 
 
-def _encode_binary(values: list[str], col: ColumnSchema,
-                   report: list[str]) -> tuple[np.ndarray, list[str]]:
+def _encode_binary(values: list[str], col: ColumnSchema) -> tuple[np.ndarray, list[str]]:
     present = [v for v in values if v != col.missing_token]
     categories = sorted(set(present))
-    extra: set[str] = set()
     if len(categories) > 2:
         # Keep the two most frequent categories; anything else is treated
         # as unknown and mapped to the neutral 0.
@@ -186,16 +176,10 @@ def _encode_binary(values: list[str], col: ColumnSchema,
     out = np.zeros(len(values))
     for r, v in enumerate(values):
         out[r] = mapping.get(v, 0.0)
-    desc = ", ".join(f"{c}={mapping[c]:+.0f}" for c in categories)
-    note = f"{col.name}: binary ({desc}, {col.missing_token}=0)"
-    if extra:
-        note += f"; unknown {sorted(extra)} mapped to 0"
-    report.append(note)
     return out[:, None], [col.name]
 
 
-def _encode_multi(values: list[str], col: ColumnSchema,
-                  report: list[str]) -> tuple[np.ndarray, list[str]]:
+def _encode_multi(values: list[str], col: ColumnSchema) -> tuple[np.ndarray, list[str]]:
     categories = sorted(set(v for v in values if v != col.missing_token))
     if not categories:
         raise DataError(f"column {col.name!r}: no categories present")
@@ -204,14 +188,10 @@ def _encode_multi(values: list[str], col: ColumnSchema,
     for r, v in enumerate(values):
         if v in index:
             out[r, index[v]] = 1.0
-    report.append(
-        f"{col.name}: one-hot over {categories} (missing=all -1)"
-    )
     return out, [f"{col.name}={c}" for c in categories]
 
 
-def _encode_label(values: list[str], col: ColumnSchema,
-                  report: list[str]) -> tuple[np.ndarray, list[str]]:
+def _encode_label(values: list[str], col: ColumnSchema) -> tuple[np.ndarray, list[str]]:
     order: list[str] = []
     seen = {}
     for v in values:
@@ -221,9 +201,6 @@ def _encode_label(values: list[str], col: ColumnSchema,
             seen[v] = len(order)
             order.append(v)
     labels = np.array([seen[v] for v in values], dtype=np.intp)
-    report.append(
-        f"{col.name}: label classes {order} numbered by first occurrence"
-    )
     return labels, order
 
 
@@ -238,7 +215,6 @@ def load_csv(path: str | Path, schema: list[ColumnSchema]) -> Dataset:
     rows = _read_rows(path, len(schema))
     if not rows:
         raise DataError(f"{path}: no data rows")
-    report: list[str] = []
     blocks: list[np.ndarray] = []
     names: list[str] = []
     labels = None
@@ -246,21 +222,20 @@ def load_csv(path: str | Path, schema: list[ColumnSchema]) -> Dataset:
     for c, col in enumerate(schema):
         values = [row[c] for row in rows]
         if col.kind == "ignore":
-            report.append(f"{col.name}: ignored")
             continue
         if col.kind == "label":
-            labels, label_names = _encode_label(values, col, report)
+            labels, label_names = _encode_label(values, col)
             continue
         kind = col.kind
         if kind == "categorical":
             distinct = len(set(v for v in values if v != col.missing_token))
             kind = "binary_categorical" if distinct <= 2 else "multi_categorical"
         if kind == "numeric":
-            block, cols = _encode_numeric(values, col, report)
+            block, cols = _encode_numeric(values, col)
         elif kind == "binary_categorical":
-            block, cols = _encode_binary(values, col, report)
+            block, cols = _encode_binary(values, col)
         else:
-            block, cols = _encode_multi(values, col, report)
+            block, cols = _encode_multi(values, col)
         blocks.append(block)
         names.extend(cols)
     if labels is None:
@@ -272,7 +247,6 @@ def load_csv(path: str | Path, schema: list[ColumnSchema]) -> Dataset:
         feature_names=names,
         class_count=len(label_names),
         label_names=label_names,
-        encoding_report=report,
     )
 
 
@@ -375,5 +349,4 @@ def generate_synthetic(expr: LogicExpr, feature_count: int, rows: int,
         feature_names=[f"x{i}" for i in range(feature_count)],
         class_count=2,
         label_names=["0", "1"],
-        encoding_report=[f"synthetic: rows={rows}, noise={noise}, seed={seed}"],
     )

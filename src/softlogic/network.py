@@ -41,7 +41,10 @@ __all__ = [
 ]
 
 FORMAT_NAME = "softlogic-model"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+_MODEL_KEYS = {"format", "format_version", "feature_count", "class_count", "squash",
+               "pairings", "alphas", "selectors", "normalization", "feature_names",
+               "label_names"}
 
 
 class ConfigurationError(ValueError):
@@ -203,11 +206,10 @@ class ForwardCache:
     gate_pre: list[np.ndarray] = field(default_factory=list)
     gate_codes: list[np.ndarray | None] = field(default_factory=list)
     # Signed gate outputs per part, per row; selector outputs before
-    # clamping; values remapped between parts; the last part's output.
+    # clamping; values remapped between parts.
     gate_out: list[np.ndarray] = field(default_factory=list)
     sel_pre: list[np.ndarray] = field(default_factory=list)
     tanh_out: list[np.ndarray] = field(default_factory=list)
-    outputs: np.ndarray | None = None
 
 
 @dataclass
@@ -246,7 +248,7 @@ class LogicNetwork:
 
     feature_count: int
     class_count: int
-    config: NetworkConfig
+    squash: SquashParams
     pairing_tables: list[PairingTable]
     alphas: list[np.ndarray]
     selectors: list[np.ndarray]
@@ -299,8 +301,7 @@ class LogicNetwork:
         unchecked, for callers that normalize and prepare a whole dataset
         once."""
         cache = ForwardCache(self._version)
-        cache.outputs = self._run_parts(rows, 0, cache)
-        return cache.outputs, cache
+        return self._run_parts(rows, 0, cache), cache
 
     def prepare(self, rows: np.ndarray, batch: int | None = None) -> PreparedRows:
         """Part 0's gate arguments for normalized ``rows`` that are run
@@ -342,7 +343,7 @@ class LogicNetwork:
                 # Gates evaluate on [0, 1]; layers exchange signed values.
                 x = PreparedRows.dense(x, self.pairing_tables[p])
             t, codes = x.args - self.alphas[p], x.flat
-            gate = _per_row(2.0 * squash(t, self.config.squash) - 1.0, codes)
+            gate = _per_row(2.0 * squash(t, self.squash) - 1.0, codes)
             pre = gate @ self.selectors[p].T
             x = self._activate(p, pre)
             if cache is not None:
@@ -387,9 +388,9 @@ class LogicNetwork:
         grads = Gradients(alphas=[None] * len(self.alphas),
                           selectors=[None] * len(self.selectors))
         g = np.asarray(grad_outputs, dtype=float)
-        if g.shape != cache.outputs.shape:
+        if g.shape != cache.sel_pre[-1].shape:
             raise ShapeMismatchError(
-                f"gradient shape {g.shape} != outputs {cache.outputs.shape}"
+                f"gradient shape {g.shape} != outputs {cache.sel_pre[-1].shape}"
             )
         for p in reversed(range(len(self.pairing_tables))):
             # Clamp passes gradient only strictly inside (-1, 1).
@@ -398,7 +399,7 @@ class LogicNetwork:
             prev = cache.gate_out[p]
             grads.selectors[p] = g_pre.T @ prev
             g_gate = g_pre @ self.selectors[p]
-            slope = _per_row(squash_grad(cache.gate_pre[p], self.config.squash),
+            slope = _per_row(squash_grad(cache.gate_pre[p], self.squash),
                              cache.gate_codes[p])
             # Signed output is 2 S(t) - 1 and each operand enters t as
             # (v + 1) / 2, so operand gradients carry exactly S'(t).
@@ -424,15 +425,12 @@ class LogicNetwork:
         self.bump_version()
 
     def to_dict(self) -> dict:
-        config = asdict(self.config)
-        squash_params = config.pop("squash")
         return {
             "format": FORMAT_NAME,
             "format_version": FORMAT_VERSION,
             "feature_count": self.feature_count,
             "class_count": self.class_count,
-            "config": config,
-            "squash": squash_params,
+            "squash": asdict(self.squash),
             "pairings": [table.to_json() for table in self.pairing_tables],
             "alphas": [a.tolist() for a in self.alphas],
             "selectors": [w.tolist() for w in self.selectors],
@@ -454,10 +452,10 @@ class LogicNetwork:
             raise ValueError(
                 f"unsupported model format version {data.get('format_version')}"
             )
+        _check_keys(data, _MODEL_KEYS, "model file")
+        _check_keys(data["normalization"], {"low", "high"}, "normalization")
         try:
             squash_params = _settings_from(SquashParams, data["squash"], "squash")
-            config = _settings_from(NetworkConfig, data["config"], "config",
-                                    squash=squash_params)
             alphas = [np.asarray(a, dtype=float) for a in data["alphas"]]
             selectors = [np.asarray(w, dtype=float) for w in data["selectors"]]
             # Table input widths follow the selector chain.
@@ -469,17 +467,15 @@ class LogicNetwork:
             return cls(
                 feature_count=data["feature_count"],
                 class_count=data["class_count"],
-                config=config,
+                squash=squash_params,
                 pairing_tables=tables,
                 alphas=alphas,
                 selectors=selectors,
                 norm_low=np.asarray(data["normalization"]["low"], dtype=float),
                 norm_high=np.asarray(data["normalization"]["high"], dtype=float),
-                feature_names=data.get("feature_names"),
-                label_names=data.get("label_names"),
+                feature_names=data["feature_names"],
+                label_names=data["label_names"],
             )
-        except KeyError as exc:
-            raise ConfigurationError(f"model file lacks key {exc}") from exc
         except (IndexError, TypeError, OverflowError) as exc:
             raise ConfigurationError(f"malformed model file: {exc}") from exc
 
@@ -548,18 +544,23 @@ def _per_row(values: np.ndarray, codes: np.ndarray | None) -> np.ndarray:
     return values if codes is None else values.take(codes).T
 
 
-def _settings_from(cls, block, name: str, **given):
-    """``cls`` from a model-file block that holds exactly its fields, less
-    those in ``given``; a missing key never falls back to the default."""
+def _check_keys(block, expected: set, name: str) -> None:
+    """``block`` must be a JSON object that holds exactly the keys
+    ``expected``; a missing key never falls back to a default."""
     if not isinstance(block, dict):
         raise ConfigurationError(f"{name} must be a JSON object")
-    expected = {f.name for f in fields(cls)} - set(given)
     for problem, keys in (("lacks", expected - set(block)),
                           ("has unknown", set(block) - expected)):
         if keys:
-            raise ConfigurationError(f"{name} {problem} key(s) {', '.join(sorted(keys))}")
+            named = ", ".join(map(repr, sorted(keys)))
+            raise ConfigurationError(f"{name} {problem} key(s) {named}")
+
+
+def _settings_from(cls, block, name: str):
+    """``cls`` from a model-file block that holds exactly its fields."""
+    _check_keys(block, {f.name for f in fields(cls)}, name)
     try:
-        return cls(**block, **given)
+        return cls(**block)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"{name}: {exc}") from exc
 
@@ -609,7 +610,7 @@ def build_network(
     return LogicNetwork(
         feature_count=feature_count,
         class_count=class_count,
-        config=config,
+        squash=config.squash,
         pairing_tables=tables,
         alphas=alphas,
         selectors=selectors,

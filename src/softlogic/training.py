@@ -51,6 +51,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("learning_rate", "l1_regularization", "validation_fraction"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number")
         # NaN passes both comparisons, and inf only diverges mid-training.
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate must be positive and finite")
@@ -238,6 +242,8 @@ class BaselineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not all(type(v) is int for v in (*self.widths, self.seed)):    # bool is not an int here
+            raise ValueError("widths and seed must be integers")
         if len(self.widths) < 2 or any(w < 1 for w in self.widths):
             raise ValueError("widths must list input, hidden and output sizes")
 

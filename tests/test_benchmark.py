@@ -108,7 +108,7 @@ def test_run_one_produces_complete_row():
     assert 0.0 <= row.fuzzy_rate <= 1.0
     assert 0.0 <= row.dnn_rate <= 1.0
     assert row.expression
-    assert "per-seed" in row.detail
+    assert row.detail == ""
 
 
 def test_run_one_seeds_the_baseline_like_the_logic_network(monkeypatch):

@@ -82,6 +82,18 @@ def test_train_config_rejects_non_integer_counts(name, value):
         TrainConfig(**{name: value})
 
 
+@pytest.mark.parametrize("name, value", [
+    ("learning_rate", "0.1"), ("validation_fraction", None), ("l1_regularization", True),
+])
+def test_train_config_rejects_non_numeric_rates(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be a number"):
+        TrainConfig(**{name: value})
+
+
+def test_train_config_accepts_numpy_floats():
+    assert TrainConfig(learning_rate=np.float64(0.1)).learning_rate == 0.1
+
+
 # ------------------------------------------------------------- evaluate
 
 
@@ -250,6 +262,15 @@ def test_baseline_config_validation():
         BaselineConfig(widths=(3,))
     with pytest.raises(ValueError):
         BaselineConfig(widths=(3, 0, 1))
+
+
+@pytest.mark.parametrize("changes", [
+    {"widths": (3, 2.5, 1)}, {"widths": (3, True, 1)}, {"seed": 1.5},
+])
+def test_baseline_config_rejects_non_integer_widths_and_seeds(changes):
+    # Unchecked, each would fail inside numpy with a TypeError instead.
+    with pytest.raises(ValueError, match="must be integers"):
+        build_baseline(BaselineConfig(**{"widths": (3, 2, 1), **changes}), 2)
 
 
 def test_baseline_rejects_non_finite_features():
