@@ -73,7 +73,7 @@ class _Options:
         path = getattr(args, "config", None)
         self.config = json.loads(Path(path).read_text()) if path else {}
         if not isinstance(self.config, dict):
-            raise ValueError(f"{path}: config file must hold a JSON object")
+            raise ValueError(f"{path!r}: config file must hold a JSON object")
         self.unread = set(self.config)
 
     def get(self, name: str, default):
@@ -103,7 +103,8 @@ def _file_path(path: Path) -> Path:
     """``path`` if a file can be written there: not a directory, and its
     directory exists."""
     if path.is_dir() or not path.parent.is_dir():
-        raise OSError(f"{path} is a directory" if path.is_dir() else f"{path}: no such directory")
+        name = repr(str(path))
+        raise OSError(f"{name} is a directory" if path.is_dir() else f"{name}: no such directory")
     return path
 
 

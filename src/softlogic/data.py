@@ -94,20 +94,20 @@ def load_schema(path: str | Path) -> list[ColumnSchema]:
     try:
         raw = json.loads(Path(path).read_text())
     except ValueError as exc:       # not JSON, or not UTF-8 text
-        raise DataError(f"{path}: invalid JSON ({exc})") from exc
+        raise DataError(f"{str(path)!r}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
-        raise DataError(f"{path}: schema must be a JSON object")
+        raise DataError(f"{str(path)!r}: schema must be a JSON object")
     default_missing = raw.get("missing_token", "?")
     items = raw.get("columns", [])
     if not (isinstance(items, list) and all(isinstance(item, dict) for item in items)):
-        raise DataError(f"{path}: columns must be a list of objects")
+        raise DataError(f"{str(path)!r}: columns must be a list of objects")
     # A misspelt optional key would otherwise fall back to its default.
     blocks = [("schema", raw, {"missing_token", "columns"})]
     blocks += [(f"column {i}", item, {"name", "kind", "missing_token"})
                for i, item in enumerate(items)]
     for where, block, known in blocks:
         if set(block) - known:
-            raise DataError(f"{path}: {where} has unknown key(s)"
+            raise DataError(f"{str(path)!r}: {where} has unknown key(s)"
                             f" {', '.join(map(repr, sorted(set(block) - known)))}")
     columns = []
     for i, item in enumerate(items):
@@ -117,11 +117,11 @@ def load_schema(path: str | Path) -> list[ColumnSchema]:
             missing_token=item.get("missing_token", default_missing),
         ))
     if sum(1 for c in columns if c.kind == "label") != 1:
-        raise DataError(f"{path}: schema must have exactly one label column")
+        raise DataError(f"{str(path)!r}: schema must have exactly one label column")
     names = [c.name for c in columns]
     if len(set(names)) < len(names):
         duplicate = next(n for n in names if names.count(n) > 1)
-        raise DataError(f"{path}: column name {duplicate!r} appears more than once")
+        raise DataError(f"{str(path)!r}: column name {duplicate!r} appears more than once")
     return columns
 
 
@@ -133,7 +133,7 @@ def _read_rows(path: Path, width: int) -> list[list[str]]:
                 continue  # skip blank lines
             if len(row) != width:
                 raise DataError(
-                    f"{path} line {lineno}: expected {width} columns,"
+                    f"{str(path)!r} line {lineno}: expected {width} columns,"
                     f" got {len(row)}"
                 )
             rows.append([field.strip() for field in row])
@@ -214,7 +214,7 @@ def load_csv(path: str | Path, schema: list[ColumnSchema]) -> Dataset:
     path = Path(path)
     rows = _read_rows(path, len(schema))
     if not rows:
-        raise DataError(f"{path}: no data rows")
+        raise DataError(f"{str(path)!r}: no data rows")
     blocks: list[np.ndarray] = []
     names: list[str] = []
     labels = None
@@ -239,7 +239,7 @@ def load_csv(path: str | Path, schema: list[ColumnSchema]) -> Dataset:
         blocks.append(block)
         names.extend(cols)
     if labels is None:
-        raise DataError(f"{path}: schema has no label column")
+        raise DataError(f"{str(path)!r}: schema has no label column")
     features = np.hstack(blocks) if blocks else np.zeros((len(rows), 0))
     return Dataset(
         features=features,

@@ -41,7 +41,9 @@ __all__ = [
 ]
 
 FORMAT_NAME = "softlogic-model"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
+# 800 MB of float64 weights: a larger network is refused before allocation.
+_MAX_PARAMETERS = 10**8
 _MODEL_KEYS = {"format", "format_version", "feature_count", "class_count", "squash",
                "pairings", "alphas", "selectors", "normalization", "feature_names",
                "label_names"}
@@ -586,19 +588,32 @@ def build_network(
     refits them from data.
     """
     _check_counts(feature_count, class_count)       # the arrays are sized by them
-    rng = np.random.default_rng(config.seed)
-    tables: list[PairingTable] = []
-    alphas: list[np.ndarray] = []
-    selectors: list[np.ndarray] = []
-    width = feature_count
     out_width = 1 if class_count == 2 else class_count
-    for p in range(config.logic_parts):
+    last, hidden = config.logic_parts - 1, config.hidden_width
+    # Every size is checked before anything is allocated.  Parts 1 to
+    # last - 1 share one shape, so a deep network costs no more to check:
+    # (part, input width, output width, parts of that shape).
+    shapes = [(0, feature_count, hidden if last else out_width, 1)]
+    if last:
+        shapes += [(1, hidden, hidden, last - 1), (last, hidden, out_width, 1)]
+    parameters = 0
+    for p, width, w_out, count in shapes:
         slots = width * (width - 1) // 2 + 2 * width
         if slots > config.max_pairing_slots:
             raise ConfigurationError(
                 f"part {p}: {slots} pairing slots exceed the cap of"
                 f" {config.max_pairing_slots}"
             )
+        parameters += count * slots * (1 + w_out)   # alphas and selector weights
+    if parameters > _MAX_PARAMETERS:
+        raise ConfigurationError(
+            f"{parameters} parameters exceed the cap of {_MAX_PARAMETERS}")
+    rng = np.random.default_rng(config.seed)
+    tables: list[PairingTable] = []
+    alphas: list[np.ndarray] = []
+    selectors: list[np.ndarray] = []
+    width = feature_count
+    for p in range(config.logic_parts):
         table = PairingTable.standard(width)
         lo, hi = config.alpha_init
         alphas.append(rng.uniform(lo, hi, size=table.width_out))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -30,6 +31,8 @@ __all__ = [
     "preference",
     "classify_alpha",
 ]
+
+_FLOAT_MAX = sys.float_info.max
 
 class OperatorKind(enum.Enum):
     """Gate families reachable by the compensation level of a clamped sum."""
@@ -79,6 +82,10 @@ class SquashParams:
             raise ValueError("ramp_width must be positive and finite")
         if not (self.smoothness > 0 and math.isfinite(self.smoothness)):
             raise ValueError("smoothness must be positive and finite")
+        # squash divides by the product; below the smallest normal float it
+        # keeps too few bits, above the largest it is infinite.
+        if not sys.float_info.min <= self.ramp_width * self.smoothness <= _FLOAT_MAX:
+            raise ValueError("ramp_width * smoothness must be a finite normal float")
 
 
 def _check_finite(x: np.ndarray, name: str) -> None:
@@ -102,18 +109,56 @@ def squash(x, params: SquashParams = SquashParams()):
         S(x) = (1 / (l b)) * ln((1 + exp(b (x - a + l/2)))
                               / (1 + exp(b (x - a - l/2))))
 
-    Evaluated through log-sum-exp so large arguments cannot overflow.
     S is strictly increasing, maps the reals onto (0, 1) and converges to
     ``cut`` pointwise as b grows; the peak error ln(2)/(l b) sits at the
     two ramp corners.
+
+    S is self-dual, S(a + m) = 1 - S(a - m), so with c = l b and
+    e = exp(-b |x - a|) it is evaluated from one ``exp`` per element as
+    h = ln(1 + e (e^{c/2} - e^{-c/2}) / (1 + e e^{-c/2})) / c, which is
+    S below the center and 1 - S above it.  Far outside the ramp the
+    result is exactly 0 or 1, for every finite x.
     """
     arr = np.asarray(x, dtype=float)
-    _check_finite(arr, "x")
     a, lam, beta = params.center, params.ramp_width, params.smoothness
-    lo = beta * (arr - (a - lam / 2.0))
-    hi = beta * (arr - (a + lam / 2.0))
-    out = (np.logaddexp(0.0, lo) - np.logaddexp(0.0, hi)) / (lam * beta)
-    return float(out) if arr.ndim == 0 else out
+    c = lam * beta
+    m = np.abs(np.atleast_1d(arr))              # |x| first, then x - a
+    top = float(np.maximum.reduce(m, axis=None, initial=0.0))
+    if not top <= _FLOAT_MAX:                   # NaN fails every comparison
+        raise ValueError("x must be finite")
+    if beta * (top + abs(a)) > _FLOAT_MAX:
+        # x - a or b |x - a| could overflow, so take half of x - a and cap
+        # it where b |x - a| passes c/2 + 800: beyond that e e^{c/2} is 0
+        # and S is 0 or 1 in every bit.
+        np.multiply(arr, 0.5, out=m)
+        m -= a * 0.5
+        e = np.minimum(np.abs(m), (lam / 2 + 800 / beta) * (0.5 + 2**-40))
+        e *= -beta
+        e += e
+    else:
+        np.subtract(arr, a, out=m)
+        e = np.abs(m)
+        e *= -beta
+    above = m > 0
+    if c > 1400:                                # e^{c/2} would overflow
+        e += c / 2
+        np.logaddexp(0.0, e, out=e)
+    else:
+        np.exp(e, out=e)
+        if c > 75:      # e^{-c/2} < 2**-54 rounds away in both sums
+            e *= math.exp(c / 2)
+        else:
+            np.multiply(e, math.exp(-c / 2), out=m)
+            m += 1.0
+            e *= math.expm1(c / 2) - math.expm1(-c / 2)
+            e /= m
+        np.log1p(e, out=e)
+    e /= c
+    # The result goes to m, allocated first, so the freed e leaves no hole
+    # below it in the heap.
+    np.subtract(above, e, out=m)                # 1 - h above, -h below
+    np.abs(m, out=m)
+    return float(m[0]) if arr.ndim == 0 else m
 
 
 def squash_grad(x, params: SquashParams = SquashParams()):

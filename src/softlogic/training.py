@@ -132,12 +132,15 @@ def _fit(model, dataset: Dataset, config: TrainConfig, penalty_term,
             f"dataset has {dataset.feature_count} features,"
             f" model expects {model.feature_count}"
         )
-    model.norm_low, model.norm_high = fit_normalization(dataset.features)
-    model.bump_version()
     train_part, val_part = split_dataset(dataset, config.validation_fraction,
                                          seed=config.seed)
+    if train_part.features.shape[0] == 0:
+        raise ValueError("training split is empty; lower validation_fraction"
+                         " or provide more data")
     if val_part.features.shape[0] == 0:
         raise ValueError("validation split is empty; provide more data")
+    model.norm_low, model.norm_high = fit_normalization(dataset.features)
+    model.bump_version()
     # Part 0's input is built once per split; each minibatch gathers it.
     rows = model.prepare(model.normalize(train_part.features), config.batch_size)
     val_rows = model.prepare(model.normalize(val_part.features))

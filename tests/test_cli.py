@@ -123,6 +123,56 @@ def test_train_missing_data_exits_2(tmp_path, corpus, capsys):
     assert "missing input" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["schema", "data", "config", "out"])
+def test_a_path_holding_a_line_break_prints_one_error_line(tmp_path, corpus, capsys, bad):
+    data, schema = corpus
+    odd = tmp_path / "bad\nname.json"
+    if bad == "out":
+        odd.mkdir()
+    else:
+        odd.write_text({"schema": "not json", "data": "1,2\n", "config": "[1, 2]"}[bad])
+    paths = {"schema": schema, "data": data, "config": None, "out": tmp_path / "m.json"}
+    paths[bad] = odd
+    argv = ["train", "--data", paths["data"], "--schema", paths["schema"], "--out", paths["out"]]
+    if paths["config"]:
+        argv += ["--config", paths["config"]]
+    assert main([str(arg) for arg in argv]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert repr(str(odd)) in line
+
+
+def test_an_empty_training_split_exits_2(tmp_path, corpus, capsys):
+    _, schema = corpus
+    data = tmp_path / "small.csv"
+    save_csv(generate_synthetic(Gate(OperatorKind.CONJUNCTION, 1.0, Leaf(0), Leaf(1)),
+                                feature_count=3, rows=40, seed=0), data)
+    # 0.99 of each class of fewer than 50 rows rounds to the whole class.
+    code, out = run_train(tmp_path, data, schema, extra=("--validation-fraction", "0.99"))
+    assert code == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("bad input: training split is empty")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    pytest.param(("--hidden-width", "1000000000"), "pairing slots exceed the cap",
+                 id="huge-hidden-width"),
+    pytest.param(("--logic-parts", "100000000", "--hidden-width", "2"),
+                 "parameters exceed the cap", id="hundred-million-parts"),
+])
+def test_a_network_too_large_to_allocate_exits_2(tmp_path, corpus, capsys, monkeypatch,
+                                                 flags, message):
+    data, schema = corpus
+    # Refused by arithmetic alone: building any pairing table fails the test.
+    monkeypatch.setattr("softlogic.network.PairingTable.standard",
+                        lambda width: pytest.fail("a pairing table was built"))
+    code, out = run_train(tmp_path, data, schema, extra=flags)
+    assert code == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("bad input: ") and message in line
+    assert not out.exists()
+
+
 def test_train_bad_flag_value_exits_2(tmp_path, corpus, capsys):
     data, schema = corpus
     code = main(["train", "--data", str(data), "--schema", str(schema),
@@ -775,6 +825,15 @@ def _edit(path, value=_DELETE):
                  id="format-version-1"),
     pytest.param(_edit(["format_version"], 2), "unsupported model format version 2",
                  id="format-version-2"),
+    # Format 3 files were trained with the two-logaddexp squash; retrain them.
+    pytest.param(_edit(["format_version"], 3), "unsupported model format version 3",
+                 id="format-version-3"),
+    pytest.param(_edit(["squash"], {"center": 0.5, "ramp_width": 1e200, "smoothness": 1e200}),
+                 "squash: ramp_width * smoothness must be a finite normal float",
+                 id="squash-ramp-product-overflows"),
+    pytest.param(_edit(["squash"], {"center": 0.5, "ramp_width": 1e-300, "smoothness": 1e-300}),
+                 "squash: ramp_width * smoothness must be a finite normal float",
+                 id="squash-ramp-product-underflows"),
     pytest.param(_edit(["feature_count"], 3.0), "feature_count must be an integer",
                  id="float-feature-count"),
     pytest.param(_edit(["class_count"], 1), "class_count must be an integer of at least 2",

@@ -72,7 +72,7 @@ def test_load_schema_rejects_bad_json_and_kinds(tmp_path):
         load_schema(write(tmp_path, "broken.json", "{not json"))
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes(b'{"columns": [{"name": "caf\xe9", "kind": "label"}]}')
-    with pytest.raises(DataError, match="latin1.json: invalid JSON"):
+    with pytest.raises(DataError, match="latin1.json': invalid JSON"):
         load_schema(latin1)
     path = schema_file(tmp_path, [
         {"name": "a", "kind": "floatingpoint"},

@@ -1,8 +1,10 @@
 """Network structure, forward semantics, gradients and persistence."""
 
+import importlib.util
 import json
 import math
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,6 +192,28 @@ def test_build_network_rejects_degenerate_shapes():
 def test_build_network_respects_slot_cap():
     with pytest.raises(ConfigurationError):
         build_network(4, 2, NetworkConfig(max_pairing_slots=10))
+
+
+@pytest.mark.parametrize("config, message", [
+    pytest.param(NetworkConfig(hidden_width=10**9), "part 1: 500000001500000000 pairing slots",
+                 id="huge-hidden-width"),
+    pytest.param(NetworkConfig(hidden_width=200, logic_parts=3), "part 1: 20300 pairing slots",
+                 id="wide-later-part"),
+    pytest.param(NetworkConfig(hidden_width=2, logic_parts=10**8),
+                 "1500000017 parameters exceed the cap of 100000000", id="hundred-million-parts"),
+    pytest.param(NetworkConfig(hidden_width=100, logic_parts=10**4), "parameters exceed",
+                 id="ten-thousand-wide-parts"),
+])
+def test_build_network_refuses_a_network_too_large_before_allocating(monkeypatch, config,
+                                                                     message):
+    # Only arithmetic may run: any pairing table or weight array fails the test.
+    def allocate(*args, **kwargs):
+        pytest.fail("an array was allocated")
+
+    monkeypatch.setattr(PairingTable, "standard", allocate)
+    monkeypatch.setattr(np.random, "default_rng", allocate)
+    with pytest.raises(ConfigurationError, match=message):
+        build_network(3, 3, config)
 
 
 def test_network_config_validation():
@@ -673,10 +697,10 @@ def test_validate_catches_selector_chain_break():
         net.validate()
 
 
-def test_serialized_form_is_format_v3_json_of_the_model_keys(tmp_path):
+def test_serialized_form_is_format_v4_json_of_the_model_keys(tmp_path):
     net = toy_net(feature_count=2, class_count=2)
     data = json.loads(serialize_model(net))
-    assert data["format_version"] == 3
+    assert data["format_version"] == 4
     # Build settings such as the seed are the manifest's, not the model's.
     assert list(data) == ["format", "format_version", "feature_count", "class_count",
                           "squash", "pairings", "alphas", "selectors", "normalization",
@@ -690,3 +714,55 @@ def test_squash_params_travel_with_the_model(tmp_path):
     path = tmp_path / "m.json"
     net.save(path)
     assert LogicNetwork.load(path).squash.smoothness == 20.0
+
+
+# ------------------------------------------- the paper-formula oracle
+
+
+def benchmark_checks():
+    """``perfbench/checks.py``, which evaluates a model file with the
+    paper's formulas in plain numpy and never imports softlogic."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    return checks
+
+
+CHECKS = benchmark_checks()
+
+
+@st.composite
+def oracle_cases(draw):
+    """A trained-looking network of 1-3 parts and a batch of 1-80 dense or
+    few-valued rows; the longer few-valued batches take part 0's table."""
+    features = draw(st.integers(min_value=2, max_value=5))
+    # Smoothness 5, 80 and 3000 put l b on each side of the kernel's branches.
+    squash = SquashParams(center=draw(st.floats(min_value=-0.5, max_value=1.5)),
+                          ramp_width=draw(st.floats(min_value=0.25, max_value=2.0)),
+                          smoothness=draw(st.sampled_from([5.0, 80.0, 3000.0])))
+    net = toy_net(feature_count=features, class_count=draw(st.sampled_from([2, 3, 4])),
+                  logic_parts=draw(st.integers(min_value=1, max_value=3)),
+                  hidden_width=draw(st.integers(min_value=2, max_value=5)),
+                  seed=draw(st.integers(min_value=0, max_value=2**16)), squash=squash)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    rows = draw(st.integers(min_value=1, max_value=80))
+    if draw(st.booleans()):
+        x = rng.normal(size=(rows, features)) * 3.0
+    else:
+        levels = rng.normal(size=draw(st.integers(min_value=1, max_value=3)))
+        x = levels[rng.integers(levels.size, size=(rows, features))]
+    low, high = fit_normalization(rng.normal(size=(8, features)) * 2.0)
+    for p, alphas in enumerate(net.alphas):
+        alphas[:] = rng.uniform(0.0, 1.0, size=alphas.shape)
+        net.selectors[p] *= draw(st.sampled_from([1.0, 4.0]))
+    return replace(net, norm_low=low, norm_high=high), x
+
+
+@given(oracle_cases())
+def test_forward_matches_the_benchmark_reference_forward(case):
+    net, x = case
+    out, _ = net.forward(x)
+    reference = CHECKS.reference_forward(net.to_dict(), x)
+    assert out.shape == reference.shape
+    assert np.max(np.abs(out - reference)) <= CHECKS.FORWARD_TOLERANCE

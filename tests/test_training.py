@@ -211,6 +211,19 @@ def test_training_rejects_feature_count_mismatch(build, fit):
     assert np.array_equal(net.norm_low, -np.ones(4))
 
 
+@pytest.mark.parametrize("build, fit", [
+    (lambda: small_net(), train),
+    (lambda: build_baseline(BaselineConfig(widths=(3, 8, 1)), 2), train_baseline),
+])
+def test_training_rejects_an_empty_training_split(build, fit):
+    net = build()
+    # 0.99 of each class rounds up to the whole class.
+    with pytest.raises(ValueError, match="training split is empty"):
+        fit(net, and_dataset(rows=40), quick_config(validation_fraction=0.99))
+    # Rejected before anything is fitted.
+    assert np.array_equal(net.norm_low, -np.ones(3))
+
+
 def test_training_aborts_on_non_finite_input():
     ds = and_dataset(rows=100, seed=8)
     ds.features[3, 1] = np.nan
