@@ -175,10 +175,9 @@ def _run_one(spec: BenchmarkSpec, dataset: Dataset, seeds: range,
             best = (rate, result.network, test_part)
 
         baseline = training.build_baseline(
-            replace(training.BaselineConfig.mirroring(
-                dataset.feature_count, dataset.class_count, hidden_width
-            ), seed=seed),
-            dataset.class_count,
+            dataset.feature_count, dataset.class_count,
+            replace(training.BaselineConfig.mirroring(dataset.feature_count, hidden_width),
+                    seed=seed),
         )
         base_result = training.train_baseline(baseline, train_part, cfg)
         dnn_rates.append(

@@ -32,7 +32,7 @@ from .expressions import (
     to_dict,
 )
 from .network import LogicNetwork
-from .operators import OperatorKind, classify_alpha, gate_crisp
+from .operators import OperatorKind, _check_types, classify_alpha, gate_crisp
 
 __all__ = [
     "ExtractionConfig",
@@ -60,6 +60,8 @@ class ExtractionConfig:
     max_terms_per_node: int = 4
 
     def __post_init__(self) -> None:
+        _check_types(self, numbers=("alpha_tolerance", "weight_keep_ratio"),
+                     integers=("max_rendered_length", "max_terms_per_node"))
         if not (0.0 <= self.alpha_tolerance <= 0.5):
             raise ValueError("alpha_tolerance must lie in [0, 0.5]")
         if not (0.0 < self.weight_keep_ratio <= 1.0):

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .operators import SquashParams, squash, squash_grad
+from .operators import SquashParams, _check_types, squash, squash_grad
 
 __all__ = [
     "ConfigurationError",
@@ -44,6 +44,7 @@ FORMAT_NAME = "softlogic-model"
 FORMAT_VERSION = 4
 # 800 MB of float64 weights: a larger network is refused before allocation.
 _MAX_PARAMETERS = 10**8
+_MAX_PAIRING_SLOTS = 10_000         # per part; slots grow as its input width squared
 _MODEL_KEYS = {"format", "format_version", "feature_count", "class_count", "squash",
                "pairings", "alphas", "selectors", "normalization", "feature_names",
                "label_names"}
@@ -177,13 +178,11 @@ class NetworkConfig:
     logic_parts: int = 2
     squash: SquashParams = field(default_factory=SquashParams)
     alpha_init: tuple[float, float] = (0.25, 0.75)
-    max_pairing_slots: int = 10_000
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("hidden_width", "logic_parts", "max_pairing_slots", "seed"):
-            if type(getattr(self, name)) is not int:    # bool is not an int here
-                raise ConfigurationError(f"{name} must be an integer")
+        _check_types(self, integers=("hidden_width", "logic_parts", "seed"),
+                     error=ConfigurationError)
         if self.hidden_width < 2:
             raise ConfigurationError("hidden_width must be at least 2")
         if self.logic_parts < 1:
@@ -193,8 +192,6 @@ class NetworkConfig:
         lo, hi = self.alpha_init
         if not (0.0 <= lo <= hi <= 1.0):
             raise ConfigurationError("alpha_init must be an ordered range in [0, 1]")
-        if self.max_pairing_slots < 1:
-            raise ConfigurationError("max_pairing_slots must be positive")
 
 
 @dataclass
@@ -267,7 +264,7 @@ class LogicNetwork:
 
     @property
     def output_width(self) -> int:
-        return 1 if self.class_count == 2 else self.class_count
+        return _output_width(self.class_count)
 
     def bump_version(self) -> None:
         """Mark parameters as changed, invalidating existing caches."""
@@ -539,6 +536,22 @@ def _check_counts(feature_count, class_count) -> None:
             raise ConfigurationError(f"{key} must be an integer of at least 2")
 
 
+def _check_parameters(parameters: int) -> None:
+    """Refuse a model's weight count, taken before anything is allocated."""
+    if parameters > _MAX_PARAMETERS:
+        raise ConfigurationError(f"{parameters} parameters exceed the cap of {_MAX_PARAMETERS}")
+
+
+def _pairing_slots(width: int) -> int:
+    """Slots of :meth:`PairingTable.standard` over ``width`` inputs."""
+    return width * (width - 1) // 2 + 2 * width
+
+
+def _output_width(class_count: int) -> int:
+    """One score for two classes, else one output per class."""
+    return 1 if class_count == 2 else class_count
+
+
 def _per_row(values: np.ndarray, codes: np.ndarray | None) -> np.ndarray:
     """A part's (rows, slots) gate values: a table part's are gathered as
     (slots, rows) and transposed, so they come out column-major like dense
@@ -588,7 +601,7 @@ def build_network(
     refits them from data.
     """
     _check_counts(feature_count, class_count)       # the arrays are sized by them
-    out_width = 1 if class_count == 2 else class_count
+    out_width = _output_width(class_count)
     last, hidden = config.logic_parts - 1, config.hidden_width
     # Every size is checked before anything is allocated.  Parts 1 to
     # last - 1 share one shape, so a deep network costs no more to check:
@@ -598,16 +611,12 @@ def build_network(
         shapes += [(1, hidden, hidden, last - 1), (last, hidden, out_width, 1)]
     parameters = 0
     for p, width, w_out, count in shapes:
-        slots = width * (width - 1) // 2 + 2 * width
-        if slots > config.max_pairing_slots:
+        slots = _pairing_slots(width)
+        if slots > _MAX_PAIRING_SLOTS:
             raise ConfigurationError(
-                f"part {p}: {slots} pairing slots exceed the cap of"
-                f" {config.max_pairing_slots}"
-            )
+                f"part {p}: {slots} pairing slots exceed the cap of {_MAX_PAIRING_SLOTS}")
         parameters += count * slots * (1 + w_out)   # alphas and selector weights
-    if parameters > _MAX_PARAMETERS:
-        raise ConfigurationError(
-            f"{parameters} parameters exceed the cap of {_MAX_PARAMETERS}")
+    _check_parameters(parameters)
     rng = np.random.default_rng(config.seed)
     tables: list[PairingTable] = []
     alphas: list[np.ndarray] = []

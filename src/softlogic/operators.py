@@ -34,6 +34,20 @@ __all__ = [
 
 _FLOAT_MAX = sys.float_info.max
 
+
+def _check_types(config, numbers=(), integers=(), error=ValueError) -> None:
+    """Raise ``error`` unless each field of ``config`` named in ``numbers``
+    is an int or a float and each named in ``integers`` is an int; a bool
+    is neither here."""
+    for name in numbers:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise error(f"{name} must be a number")
+    for name in integers:
+        if type(getattr(config, name)) is not int:
+            raise error(f"{name} must be an integer")
+
+
 class OperatorKind(enum.Enum):
     """Gate families reachable by the compensation level of a clamped sum."""
 
@@ -76,6 +90,7 @@ class SquashParams:
     smoothness: float = 80.0
 
     def __post_init__(self) -> None:
+        _check_types(self, numbers=("center", "ramp_width", "smoothness"))
         if not (math.isfinite(self.center)):
             raise ValueError("center must be finite")
         if not (self.ramp_width > 0 and math.isfinite(self.ramp_width)):
@@ -166,13 +181,24 @@ def squash_grad(x, params: SquashParams = SquashParams()):
 
     dS/dx = (sigma(b (x - a + l/2)) - sigma(b (x - a - l/2))) / l
 
-    Nonnegative everywhere, close to 1 inside the ramp and decaying to 0
-    outside it.  Each logistic is sigma(z) = (1 + tanh(z / 2)) / 2, which
-    cannot overflow for any finite z.
+    Nonnegative everywhere, close to 1 inside the ramp and exactly 0 far
+    outside it.  Each logistic is sigma(z) = (1 + tanh(z / 2)) / 2.
     """
     arr = np.asarray(x, dtype=float)
-    _check_finite(arr, "x")
     a, lam, beta = params.center, params.ramp_width, params.smoothness
+    top = float(np.maximum.reduce(np.abs(arr), axis=None, initial=0.0))
+    if not top <= _FLOAT_MAX:                   # NaN fails every comparison
+        raise ValueError("x must be finite")
+    if beta * (top + abs(a) + lam / 2.0) > _FLOAT_MAX:
+        # b (x - a -+ l/2) / 2 may overflow to +-inf, whose tanh is the
+        # +-1 that the exact argument's is too; only the warning must go.
+        with np.errstate(over="ignore"):
+            return _logistic_difference(arr, a, lam, beta)
+    return _logistic_difference(arr, a, lam, beta)
+
+
+def _logistic_difference(arr: np.ndarray, a: float, lam: float, beta: float):
+    """:func:`squash_grad` for center ``a``, ramp ``lam``, smoothness ``beta``."""
     lo = (beta / 2.0) * (arr - (a - lam / 2.0))
     hi = (beta / 2.0) * (arr - (a + lam / 2.0))
     out = (np.tanh(lo) - np.tanh(hi)) / (2.0 * lam)

@@ -17,7 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, split_dataset
-from .network import LogicNetwork, ShapeMismatchError, fit_normalization
+from .network import (LogicNetwork, ShapeMismatchError, _check_counts, _check_parameters,
+                      _output_width, _pairing_slots, fit_normalization)
+from .operators import _check_types
 
 __all__ = [
     "TrainingDivergedError",
@@ -51,18 +53,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("learning_rate", "l1_regularization", "validation_fraction"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be a number")
+        _check_types(self, numbers=("learning_rate", "l1_regularization", "validation_fraction"),
+                     integers=("max_epochs", "patience", "batch_size", "seed"))
         # NaN passes both comparisons, and inf only diverges mid-training.
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate must be positive and finite")
         if not (math.isfinite(self.l1_regularization) and self.l1_regularization >= 0):
             raise ValueError("l1_regularization must be nonnegative and finite")
-        for name in ("max_epochs", "patience", "batch_size", "seed"):
-            if type(getattr(self, name)) is not int:    # bool is not an int here
-                raise ValueError(f"{name} must be an integer")
         if self.max_epochs < 1 or self.patience < 1:
             raise ValueError("max_epochs and patience must be at least 1")
         if self.batch_size < 1:
@@ -238,49 +235,46 @@ def train(net: LogicNetwork, dataset: Dataset, config: TrainConfig = TrainConfig
 
 @dataclass(frozen=True)
 class BaselineConfig:
-    """Widths of the dense tanh comparison network, input and output
-    included."""
+    """Hidden layer widths of the dense tanh comparison network; the data
+    fixes its input and output widths."""
 
-    widths: tuple[int, ...]
+    hidden_widths: tuple[int, ...]
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not all(type(v) is int for v in (*self.widths, self.seed)):    # bool is not an int here
-            raise ValueError("widths and seed must be integers")
-        if len(self.widths) < 2 or any(w < 1 for w in self.widths):
-            raise ValueError("widths must list input, hidden and output sizes")
+        if not all(type(v) is int for v in (*self.hidden_widths, self.seed)):  # no bools
+            raise ValueError("hidden_widths and seed must be integers")
+        if any(w < 1 for w in self.hidden_widths):
+            raise ValueError("hidden_widths must be positive")
 
     @staticmethod
-    def mirroring(feature_count: int, class_count: int,
-                  hidden_width: int = 8) -> "BaselineConfig":
-        """Widths that shadow the logic network's layer chain, so parameter
-        counts stay in the same regime."""
-        m1 = feature_count * (feature_count - 1) // 2 + 2 * feature_count
-        m2 = hidden_width * (hidden_width - 1) // 2 + 2 * hidden_width
-        out = 1 if class_count == 2 else class_count
-        return BaselineConfig(widths=(feature_count, m1, hidden_width, m2, out))
+    def mirroring(feature_count: int, hidden_width: int = 8) -> "BaselineConfig":
+        """Hidden widths that shadow a two-part logic network's layer
+        chain, so parameter counts stay in the same regime."""
+        return BaselineConfig((_pairing_slots(feature_count), hidden_width,
+                               _pairing_slots(hidden_width)))
 
 
 class DenseTanhNet:
-    """Fully connected network with tanh after every layer."""
+    """Fully connected network with tanh after every layer, from the
+    features through ``config.hidden_widths`` to the class outputs."""
 
-    def __init__(self, config: BaselineConfig, class_count: int):
-        self.config = config
+    def __init__(self, feature_count: int, class_count: int, config: BaselineConfig):
+        _check_counts(feature_count, class_count)
+        widths = (feature_count, *config.hidden_widths, _output_width(class_count))
+        _check_parameters(sum(w_out * (w_in + 1) for w_in, w_out in zip(widths, widths[1:])))
+        self.feature_count = feature_count
         self.class_count = class_count
         rng = np.random.default_rng(config.seed)
         self.weights = []
         self.biases = []
-        for w_in, w_out in zip(config.widths, config.widths[1:]):
+        for w_in, w_out in zip(widths, widths[1:]):
             scale = 1.0 / math.sqrt(w_in)
             self.weights.append(rng.uniform(-scale, scale, size=(w_out, w_in)))
             self.biases.append(np.zeros(w_out))
-        self.norm_low = -np.ones(config.widths[0])
-        self.norm_high = np.ones(config.widths[0])
+        self.norm_low = -np.ones(feature_count)
+        self.norm_high = np.ones(feature_count)
         self._version = 0
-
-    @property
-    def feature_count(self) -> int:
-        return self.config.widths[0]
 
     # The logic network's normalize/decide/score path, shared as is.
     bump_version = LogicNetwork.bump_version
@@ -338,8 +332,8 @@ def _apply_dense_updates(net: DenseTanhNet, grads, config: TrainConfig) -> None:
     net.bump_version()
 
 
-def build_baseline(config: BaselineConfig, class_count: int) -> DenseTanhNet:
-    return DenseTanhNet(config, class_count)
+# The dense counterpart of build_network, with the same arguments and size cap.
+build_baseline = DenseTanhNet
 
 
 def train_baseline(net: DenseTanhNet, dataset: Dataset,
@@ -368,8 +362,8 @@ def cross_validate(dataset: Dataset, folds: int, build_model, config: TrainConfi
     (default :func:`train`) fits it.  Every class must have at least
     ``folds`` members, otherwise stratification is impossible.
     """
-    if folds < 2:
-        raise ValueError("folds must be at least 2")
+    if type(folds) is not int or folds < 2:     # a bool is not a count
+        raise ValueError("folds must be an integer of at least 2")
     labels = dataset.labels
     counts = np.bincount(labels, minlength=dataset.class_count)
     if np.any(counts[counts > 0] < folds):

@@ -122,9 +122,9 @@ def test_run_one_seeds_the_baseline_like_the_logic_network(monkeypatch):
         expected_rows=60, expected_columns=4)
     build, seeds = training.build_baseline, []
 
-    def spy(config, class_count):
+    def spy(feature_count, class_count, config):
         seeds.append(config.seed)
-        return build(config, class_count)
+        return build(feature_count, class_count, config)
 
     monkeypatch.setattr(training, "build_baseline", spy)
     _run_one(spec, dataset, range(3), 0.30, 4, TrainConfig(max_epochs=1, patience=1))

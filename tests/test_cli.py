@@ -797,6 +797,9 @@ def _edit(path, value=_DELETE):
     pytest.param(_edit(["normalization", "hgih"], [1.0] * 3),
                  "normalization has unknown key(s) 'hgih'", id="normalization-key-typo"),
     pytest.param(_edit(["squash", "smoothness"], "sharp"), "", id="string-squash-value"),
+    # A bool is no number: it used to load and be written back as true.
+    pytest.param(_edit(["squash", "smoothness"], True), "squash: smoothness must be a number",
+                 id="boolean-squash-value"),
     pytest.param(_edit(["pairings", 0, 0], ["pair", 0, 3]), "", id="pairing-index-past-width"),
     pytest.param(_edit(["alphas", 0, 0], 1.5), "", id="alpha-above-one"),
     pytest.param(_edit(["normalization", "low", 0], 2.0), "", id="low-above-high"),
@@ -849,7 +852,7 @@ def test_malformed_model_file_exits_2(tmp_path, corpus, capsys, edit, message):
     assert main(["eval", "--model", str(model), "--data", str(data),
                  "--schema", str(schema)]) == 2
     err = capsys.readouterr().err
-    assert "bad input" in err and message in err
+    assert err.startswith("bad input: ") and err.count("\n") == 1 and message in err
 
 
 def _paths(node, path=()):

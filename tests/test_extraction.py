@@ -79,6 +79,17 @@ def test_extraction_config_validation():
         ExtractionConfig(max_terms_per_node=0)
 
 
+@pytest.mark.parametrize("name, value, message", [
+    ("max_terms_per_node", 2.5, "max_terms_per_node must be an integer"),
+    ("max_rendered_length", True, "max_rendered_length must be an integer"),
+    ("weight_keep_ratio", "0.5", "weight_keep_ratio must be a number"),
+    ("alpha_tolerance", True, "alpha_tolerance must be a number"),
+])
+def test_extraction_config_rejects_wrongly_typed_fields(name, value, message):
+    with pytest.raises(ValueError, match=message):
+        ExtractionConfig(**{name: value})
+
+
 # ------------------------------------------------------------- snapping
 
 

@@ -190,8 +190,11 @@ def test_build_network_rejects_degenerate_shapes():
 
 
 def test_build_network_respects_slot_cap():
-    with pytest.raises(ConfigurationError):
-        build_network(4, 2, NetworkConfig(max_pairing_slots=10))
+    # 139 features make 9869 slots, 140 make 10010.
+    assert build_network(139, 2, NetworkConfig(hidden_width=2)).pairing_tables[0].width_out == 9869
+    with pytest.raises(ConfigurationError,
+                       match="part 0: 10010 pairing slots exceed the cap of 10000"):
+        build_network(140, 2, NetworkConfig(hidden_width=2))
 
 
 @pytest.mark.parametrize("config, message", [

@@ -1,6 +1,7 @@
 """Operator algebra: crisp identities, smooth surrogates, snapping."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -134,6 +135,15 @@ def test_squash_params_validation():
         SquashParams(center=float("inf"))
 
 
+@pytest.mark.parametrize("name, value", [
+    ("smoothness", True), ("center", False), ("ramp_width", "1.0"), ("smoothness", None),
+])
+def test_squash_params_reject_non_numbers(name, value):
+    # A bool is no number, as in every other numeric setting.
+    with pytest.raises(ValueError, match=f"{name} must be a number"):
+        SquashParams(**{name: value})
+
+
 def test_squash_grad_matches_finite_differences():
     h = 1e-6
     for x in (-0.3, 0.1, 0.5, 0.9, 1.3):
@@ -152,6 +162,19 @@ def test_squash_grad_far_outside_the_ramp_is_quiet_and_nonnegative():
         warnings.simplefilter("error")
         out = squash_grad(np.array([-1e6, -1e3, 1e3, 1e6]))
     assert np.all(out >= 0.0)
+
+
+@pytest.mark.parametrize("params", [
+    SquashParams(), SquashParams(center=-1e300, ramp_width=4.0, smoothness=1e10),
+])
+def test_squash_grad_is_exactly_zero_far_from_the_ramp_without_warnings(params):
+    # b (x - a) / 2 used to overflow, with a warning, at 1e308.
+    far = [1e308, -1e308, sys.float_info.max, -sys.float_info.max, 1e300]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert all(squash_grad(x, params) == 0.0 for x in far)
+        assert np.array_equal(squash_grad(np.array(far), params), np.zeros(5))
+        assert np.array_equal(squash_grad(np.array([[0.5], [1e308]])), [[1.0], [0.0]])
 
 
 @pytest.mark.parametrize("params", [SquashParams(), SquashParams(smoothness=20.0)])

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from softlogic.data import Dataset, generate_synthetic, split_dataset
 from softlogic.expressions import Gate, Leaf
 from softlogic.network import (
+    ConfigurationError,
     NetworkConfig,
     PairingTable,
     ShapeMismatchError,
@@ -201,7 +202,7 @@ def test_training_rejects_class_count_mismatch():
 
 @pytest.mark.parametrize("build, fit", [
     (lambda: build_network(4, 2, NetworkConfig(hidden_width=4)), train),
-    (lambda: build_baseline(BaselineConfig(widths=(4, 8, 1)), 2), train_baseline),
+    (lambda: build_baseline(4, 2, BaselineConfig((8,))), train_baseline),
 ])
 def test_training_rejects_feature_count_mismatch(build, fit):
     net = build()
@@ -213,7 +214,7 @@ def test_training_rejects_feature_count_mismatch(build, fit):
 
 @pytest.mark.parametrize("build, fit", [
     (lambda: small_net(), train),
-    (lambda: build_baseline(BaselineConfig(widths=(3, 8, 1)), 2), train_baseline),
+    (lambda: build_baseline(3, 2, BaselineConfig((8,))), train_baseline),
 ])
 def test_training_rejects_an_empty_training_split(build, fit):
     net = build()
@@ -233,7 +234,7 @@ def test_training_aborts_on_non_finite_input():
 
 def test_divergent_baseline_raises():
     ds = and_dataset(rows=120, seed=9)
-    net = build_baseline(BaselineConfig(widths=(3, 8, 1), seed=9), 2)
+    net = build_baseline(3, 2, BaselineConfig((8,), seed=9))
     cfg = quick_config(learning_rate=1e5, l1_regularization=10.0,
                        max_epochs=50)
     # The blow-up route is weight overflow in the penalty term.
@@ -264,30 +265,61 @@ def test_divergence_in_the_last_update_raises():
 
 
 def test_mirroring_widths_follow_slot_arithmetic():
-    cfg = BaselineConfig.mirroring(4, 2, hidden_width=8)
-    assert cfg.widths == (4, 14, 8, 44, 1)
-    cfg = BaselineConfig.mirroring(3, 5, hidden_width=4)
-    assert cfg.widths == (3, 9, 4, 14, 5)
+    assert BaselineConfig.mirroring(4, hidden_width=8).hidden_widths == (14, 8, 44)
+    # Each mirrored width is the slot count of the logic network's part.
+    for features, hidden in ((2, 2), (3, 4), (4, 8), (38, 8), (7, 13)):
+        tables = build_network(features, 2, NetworkConfig(hidden_width=hidden)).pairing_tables
+        assert BaselineConfig.mirroring(features, hidden).hidden_widths == (
+            tables[0].width_out, hidden, tables[1].width_out)
+
+
+@pytest.mark.parametrize("classes, outputs", [(2, 1), (3, 3)])
+def test_mirrored_baseline_takes_its_outer_widths_from_the_data(classes, outputs):
+    # The benchmark's kr-vs-kp baseline; these shapes fix its dnn_rate.
+    net = build_baseline(38, classes, BaselineConfig.mirroring(38, 8))
+    assert [w.shape for w in net.weights] == [(779, 38), (8, 779), (44, 8), (outputs, 44)]
+    assert [b.shape for b in net.biases] == [(779,), (8,), (44,), (outputs,)]
 
 
 def test_baseline_config_validation():
     with pytest.raises(ValueError):
-        BaselineConfig(widths=(3,))
+        BaselineConfig(hidden_widths=(0,))
     with pytest.raises(ValueError):
-        BaselineConfig(widths=(3, 0, 1))
+        BaselineConfig(hidden_widths=(5, -1))
 
 
 @pytest.mark.parametrize("changes", [
-    {"widths": (3, 2.5, 1)}, {"widths": (3, True, 1)}, {"seed": 1.5},
+    {"hidden_widths": (2.5,)}, {"hidden_widths": (True,)}, {"seed": 1.5},
 ])
 def test_baseline_config_rejects_non_integer_widths_and_seeds(changes):
     # Unchecked, each would fail inside numpy with a TypeError instead.
     with pytest.raises(ValueError, match="must be integers"):
-        build_baseline(BaselineConfig(**{"widths": (3, 2, 1), **changes}), 2)
+        build_baseline(3, 2, BaselineConfig(**{"hidden_widths": (2,), **changes}))
+
+
+@pytest.mark.parametrize("feature_count, class_count", [(1, 2), (3, 1), (3.0, 2), (3, True)])
+def test_baseline_checks_its_counts_like_the_logic_network(feature_count, class_count):
+    with pytest.raises(ConfigurationError, match="must be an integer of at least 2"):
+        build_baseline(feature_count, class_count, BaselineConfig((5,)))
+
+
+@pytest.mark.parametrize("hidden_widths, message", [
+    ((10**9,), "5000000001 parameters exceed the cap of 100000000"),
+    ((10**4, 10**4), "100060001 parameters exceed"),
+])
+def test_build_baseline_refuses_a_network_too_large_before_allocating(monkeypatch,
+                                                                      hidden_widths, message):
+    # Only arithmetic may run: any weight array fails the test.
+    def allocate(*args, **kwargs):
+        pytest.fail("an array was allocated")
+
+    monkeypatch.setattr(np.random, "default_rng", allocate)
+    with pytest.raises(ConfigurationError, match=message):
+        build_baseline(3, 2, BaselineConfig(hidden_widths))
 
 
 def test_baseline_rejects_non_finite_features():
-    net = build_baseline(BaselineConfig(widths=(3, 5, 1)), 2)
+    net = build_baseline(3, 2, BaselineConfig((5,)))
     features = np.zeros((4, 3))
     features[1, 2] = np.nan
     ds = Dataset(features=features, labels=np.array([0, 1, 0, 1]),
@@ -298,7 +330,7 @@ def test_baseline_rejects_non_finite_features():
 
 def test_baseline_forward_checks_feature_width():
     # The baseline shares the logic network's forward, shape check included.
-    net = build_baseline(BaselineConfig(widths=(3, 5, 1)), 2)
+    net = build_baseline(3, 2, BaselineConfig((5,)))
     with pytest.raises(ShapeMismatchError):
         net.forward(np.zeros((2, 4)))
     classes, scores = net.classify(np.zeros(3))
@@ -308,7 +340,7 @@ def test_baseline_forward_checks_feature_width():
 def test_baseline_learns_conjunction_data():
     ds = and_dataset(rows=400, seed=10)
     test = and_dataset(rows=400, seed=110)
-    net = build_baseline(BaselineConfig.mirroring(3, 2, hidden_width=4), 2)
+    net = build_baseline(3, 2, BaselineConfig.mirroring(3, hidden_width=4))
     result = train_baseline(net, ds,
                             quick_config(max_epochs=80, learning_rate=0.05))
     rate = evaluate(result.network, test).misclassification_rate
@@ -317,9 +349,9 @@ def test_baseline_learns_conjunction_data():
 
 def test_baseline_backward_matches_finite_differences():
     rng = np.random.default_rng(12)
-    net = build_baseline(BaselineConfig(widths=(3, 5, 2), seed=12), 3)
+    net = build_baseline(3, 3, BaselineConfig((5,), seed=12))
     x = rng.uniform(-0.9, 0.9, size=(6, 3))
-    r = rng.normal(size=(6, 2))
+    r = rng.normal(size=(6, 3))
     out, acts = net.forward(x)
     grad_w, grad_b = net.backward(acts, r)
     h = 1e-6
@@ -467,7 +499,7 @@ def test_training_matches_the_per_batch_reference_bit_for_bit(family, data, clas
         update = reference_logic_update
     else:
         def build():
-            return build_baseline(BaselineConfig.mirroring(features, classes, 4), classes)
+            return build_baseline(features, classes, BaselineConfig.mirroring(features, 4))
         fit = train_baseline
         penalty = lambda net: float(sum(np.sum(w ** 2) for w in net.weights))
         update = _apply_dense_updates
@@ -548,6 +580,13 @@ def test_cross_validate_requires_enough_members():
         cross_validate(ds, 3, lambda: None, quick_config())
     with pytest.raises(ValueError, match="folds"):
         cross_validate(ds, 1, lambda: None, quick_config())
+
+
+@pytest.mark.parametrize("folds", [3.0, True, "3", None])
+def test_cross_validate_requires_an_integer_fold_count(folds):
+    ds = and_dataset(rows=60, seed=14)
+    with pytest.raises(ValueError, match="folds must be an integer"):
+        cross_validate(ds, folds, lambda: pytest.fail("a model was built"), quick_config())
 
 
 def test_cross_validate_deterministic():
