@@ -71,7 +71,6 @@ from .training import (
     cross_validate,
     evaluate,
     train,
-    train_baseline,
 )
 
 __version__ = "0.1.0"
@@ -91,7 +90,7 @@ __all__ = [
     "StaleCacheError",
     # training
     "TrainConfig", "TrainResult", "Metrics", "train", "evaluate",
-    "BaselineConfig", "build_baseline", "train_baseline", "CrossValResult",
+    "BaselineConfig", "build_baseline", "CrossValResult",
     "cross_validate", "TrainingDivergedError",
     # extraction
     "ExtractionConfig", "trace_expression", "should_omit", "faithfulness",

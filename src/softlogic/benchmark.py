@@ -179,7 +179,7 @@ def _run_one(spec: BenchmarkSpec, dataset: Dataset, seeds: range,
             replace(training.BaselineConfig.mirroring(dataset.feature_count, hidden_width),
                     seed=seed),
         )
-        base_result = training.train_baseline(baseline, train_part, cfg)
+        base_result = training.train(baseline, train_part, cfg)
         dnn_rates.append(
             training.evaluate(base_result.network, test_part).misclassification_rate
         )

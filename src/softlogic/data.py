@@ -74,6 +74,8 @@ class Dataset:
             raise DataError("features must be 2-d")
         if self.labels.shape != (self.features.shape[0],):
             raise DataError("labels must align with feature rows")
+        if self.labels.size and not 0 <= self.labels.min() <= self.labels.max() < self.class_count:
+            raise DataError(f"labels must lie in [0, {self.class_count})")
 
     @property
     def row_count(self) -> int:

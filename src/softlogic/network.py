@@ -410,6 +410,21 @@ class LogicNetwork:
                 g = g * (1.0 - cache.tanh_out[p - 1] ** 2)
         return grads
 
+    # -- training --------------------------------------------------------
+
+    def penalty(self) -> float:
+        """L1 mass of the selector weights; compensation levels are exempt."""
+        return float(sum(np.add.reduce(np.abs(w), axis=None) for w in self.selectors))
+
+    def step(self, grads: Gradients, learning_rate: float, regularization: float) -> None:
+        """A subgradient step on the loss plus ``regularization`` times :meth:`penalty`."""
+        for w, a, g_w, g_a in zip(self.selectors, self.alphas, grads.selectors, grads.alphas):
+            w -= learning_rate * (g_w + regularization * np.sign(w))
+            a -= learning_rate * g_a
+            # Compensation levels only mean anything inside [0, 1].
+            np.minimum(np.maximum(a, 0.0, out=a), 1.0, out=a)
+        self.bump_version()
+
     # -- persistence -----------------------------------------------------
 
     def copy_parameters(self) -> tuple[list[np.ndarray], list[np.ndarray]]:

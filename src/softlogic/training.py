@@ -31,7 +31,6 @@ __all__ = [
     "BaselineConfig",
     "DenseTanhNet",
     "build_baseline",
-    "train_baseline",
     "CrossValResult",
     "cross_validate",
     "write_training_log",
@@ -114,11 +113,10 @@ def _metrics(c: int, labels: np.ndarray, classes: np.ndarray) -> Metrics:
     )
 
 
-def _fit(model, dataset: Dataset, config: TrainConfig, penalty_term,
-         apply_updates) -> TrainResult:
-    """Shared minibatch loop; ``penalty_term(model)`` is the regularizer
-    added to the loss and ``apply_updates(model, grads, config)`` owns the
-    parameter step."""
+def train(model, dataset: Dataset, config: TrainConfig = TrainConfig()) -> TrainResult:
+    """Fit a :class:`LogicNetwork` or :class:`DenseTanhNet`: normalization bounds
+    from the data, SGD on the loss plus the model's ``penalty()``, one ``step``
+    per minibatch, early stopping on a held-out validation slice."""
     if dataset.class_count != model.class_count:
         raise ValueError(
             f"dataset has {dataset.class_count} classes,"
@@ -160,7 +158,7 @@ def _fit(model, dataset: Dataset, config: TrainConfig, penalty_term,
                 idx = order[start:start + config.batch_size]
                 # The penalty goes first: overflowed selectors can turn a later
                 # part's gate arguments to NaN, which the forward pass rejects.
-                loss = config.l1_regularization * penalty_term(model)
+                loss = config.l1_regularization * model.penalty()
                 if math.isfinite(loss):
                     outputs, cache = model.forward_normalized(rows[idx])
                     err = model.scores(outputs) - targets[idx]
@@ -173,9 +171,9 @@ def _fit(model, dataset: Dataset, config: TrainConfig, penalty_term,
                 losses.append(loss)
                 # d(mse)/d(signed output) = 2 err / size * d(score)/d(output).
                 grads = model.backward(cache, err / err.size)
-                apply_updates(model, grads, config)
+                model.step(grads, config.learning_rate, config.l1_regularization)
             # The last update is checked before validation can keep it.
-            if not math.isfinite(config.l1_regularization * penalty_term(model)):
+            if not math.isfinite(config.l1_regularization * model.penalty()):
                 raise TrainingDivergedError(f"non-finite penalty after epoch {epoch}")
         val_classes = model.decide(model.forward_normalized(val_rows)[0])
         val_rate = _metrics(model.class_count, val_part.labels,
@@ -205,30 +203,6 @@ def _fit(model, dataset: Dataset, config: TrainConfig, penalty_term,
     )
 
 
-def _logic_penalty(net: LogicNetwork) -> float:
-    """L1 mass of the selector weights; compensation levels are exempt."""
-    return float(sum(np.add.reduce(np.abs(w), axis=None) for w in net.selectors))
-
-
-def _apply_logic_updates(net: LogicNetwork, grads, config: TrainConfig) -> None:
-    lr = config.learning_rate
-    for p in range(len(net.selectors)):
-        w = net.selectors[p]
-        w -= lr * (grads.selectors[p] + config.l1_regularization * np.sign(w))
-        a = net.alphas[p]
-        a -= lr * grads.alphas[p]
-        # Compensation levels only mean anything inside [0, 1].
-        np.minimum(np.maximum(a, 0.0, out=a), 1.0, out=a)
-    net.bump_version()
-
-
-def train(net: LogicNetwork, dataset: Dataset, config: TrainConfig = TrainConfig()) -> TrainResult:
-    """Fit a logic network: normalization bounds from the data, SGD on
-    compensation levels and selector weights, L1 pull on the selectors,
-    early stopping on a held-out validation slice."""
-    return _fit(net, dataset, config, _logic_penalty, _apply_logic_updates)
-
-
 # ---------------------------------------------------------------------------
 # Dense tanh baseline
 
@@ -242,6 +216,10 @@ class BaselineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.hidden_widths, (tuple, list)):
+            raise ValueError("hidden_widths must be a tuple or list of integers")
+        # A tuple keeps the frozen config hashable.
+        object.__setattr__(self, "hidden_widths", tuple(self.hidden_widths))
         if not all(type(v) is int for v in (*self.hidden_widths, self.seed)):  # no bools
             raise ValueError("hidden_widths and seed must be integers")
         if any(w < 1 for w in self.hidden_widths):
@@ -317,30 +295,21 @@ class DenseTanhNet:
         self.biases = [b.copy() for b in biases]
         self.bump_version()
 
+    def penalty(self) -> float:
+        """Squared L2 mass of the weights; biases are exempt."""
+        return float(sum(np.add.reduce(w ** 2, axis=None) for w in self.weights))
 
-def _dense_penalty(net: DenseTanhNet) -> float:
-    return float(sum(np.add.reduce(w ** 2, axis=None) for w in net.weights))
-
-
-def _apply_dense_updates(net: DenseTanhNet, grads, config: TrainConfig) -> None:
-    grad_w, grad_b = grads
-    lr = config.learning_rate
-    for layer in range(len(net.weights)):
-        w = net.weights[layer]
-        w -= lr * (grad_w[layer] + 2.0 * config.l1_regularization * w)
-        net.biases[layer] -= lr * grad_b[layer]
-    net.bump_version()
+    def step(self, grads, learning_rate: float, regularization: float) -> None:
+        """A gradient step on the loss plus ``regularization`` times :meth:`penalty`."""
+        grad_w, grad_b = grads
+        for w, b, g_w, g_b in zip(self.weights, self.biases, grad_w, grad_b):
+            w -= learning_rate * (g_w + 2.0 * regularization * w)
+            b -= learning_rate * g_b
+        self.bump_version()
 
 
 # The dense counterpart of build_network, with the same arguments and size cap.
 build_baseline = DenseTanhNet
-
-
-def train_baseline(net: DenseTanhNet, dataset: Dataset,
-                   config: TrainConfig = TrainConfig()) -> TrainResult:
-    """Fit the dense tanh baseline with the same loop, loss and early
-    stopping as :func:`train`, but an L2 weight penalty."""
-    return _fit(net, dataset, config, _dense_penalty, _apply_dense_updates)
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,19 @@ def test_dataset_validation():
                 feature_names=["a"], class_count=2)
 
 
+@pytest.mark.parametrize("labels", [[0, 5], [0, -1], [2, 1]])
+def test_dataset_rejects_labels_outside_the_class_range(labels):
+    # Unchecked, evaluate raised an IndexError for 5, counted -1 in the
+    # last confusion row, and train fitted a binary target of 5.0.
+    with pytest.raises(DataError, match=r"labels must lie in \[0, 2\)"):
+        Dataset(features=np.zeros((2, 1)), labels=labels, feature_names=["a"], class_count=2)
+
+
+def test_dataset_accepts_empty_labels():
+    ds = Dataset(features=np.zeros((0, 1)), labels=[], feature_names=["a"], class_count=2)
+    assert ds.row_count == 0
+
+
 def test_take_subsets_rows():
     ds = Dataset(features=np.arange(8.0).reshape(4, 2),
                  labels=np.array([0, 1, 0, 1]),

@@ -21,9 +21,10 @@ from softlogic.network import (
 )
 from softlogic.operators import OperatorKind
 from softlogic.training import (
-    _apply_dense_updates,
     _targets,
     BaselineConfig,
+    CrossValResult,
+    DenseTanhNet,
     Metrics,
     TrainConfig,
     TrainingDivergedError,
@@ -31,7 +32,6 @@ from softlogic.training import (
     cross_validate,
     evaluate,
     train,
-    train_baseline,
     write_training_log,
 )
 
@@ -200,27 +200,27 @@ def test_training_rejects_class_count_mismatch():
         train(net, ds, quick_config())
 
 
-@pytest.mark.parametrize("build, fit", [
-    (lambda: build_network(4, 2, NetworkConfig(hidden_width=4)), train),
-    (lambda: build_baseline(4, 2, BaselineConfig((8,))), train_baseline),
-])
-def test_training_rejects_feature_count_mismatch(build, fit):
+@pytest.mark.parametrize("build", [
+    lambda: build_network(4, 2, NetworkConfig(hidden_width=4)),
+    lambda: build_baseline(4, 2, BaselineConfig((8,))),
+], ids=["logic", "baseline"])
+def test_training_rejects_feature_count_mismatch(build):
     net = build()
     with pytest.raises(ShapeMismatchError, match="features"):
-        fit(net, and_dataset(rows=100), quick_config())
+        train(net, and_dataset(rows=100), quick_config())
     # Rejected before anything is fitted.
     assert np.array_equal(net.norm_low, -np.ones(4))
 
 
-@pytest.mark.parametrize("build, fit", [
-    (lambda: small_net(), train),
-    (lambda: build_baseline(3, 2, BaselineConfig((8,))), train_baseline),
-])
-def test_training_rejects_an_empty_training_split(build, fit):
+@pytest.mark.parametrize("build", [
+    lambda: small_net(),
+    lambda: build_baseline(3, 2, BaselineConfig((8,))),
+], ids=["logic", "baseline"])
+def test_training_rejects_an_empty_training_split(build):
     net = build()
     # 0.99 of each class rounds up to the whole class.
     with pytest.raises(ValueError, match="training split is empty"):
-        fit(net, and_dataset(rows=40), quick_config(validation_fraction=0.99))
+        train(net, and_dataset(rows=40), quick_config(validation_fraction=0.99))
     # Rejected before anything is fitted.
     assert np.array_equal(net.norm_low, -np.ones(3))
 
@@ -239,7 +239,7 @@ def test_divergent_baseline_raises():
                        max_epochs=50)
     # The blow-up route is weight overflow in the penalty term.
     with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError):
-        train_baseline(net, ds, cfg)
+        train(net, ds, cfg)
 
 
 @pytest.mark.parametrize("parts", [1, 2, 3])
@@ -286,6 +286,20 @@ def test_baseline_config_validation():
         BaselineConfig(hidden_widths=(0,))
     with pytest.raises(ValueError):
         BaselineConfig(hidden_widths=(5, -1))
+
+
+@pytest.mark.parametrize("hidden_widths", [5, None, "8", {4}, np.array([4])],
+                         ids=["int", "none", "str", "set", "ndarray"])
+def test_baseline_config_rejects_widths_that_are_not_a_tuple_or_list(hidden_widths):
+    with pytest.raises(ValueError, match="hidden_widths must be a tuple or list of integers"):
+        BaselineConfig(hidden_widths)
+
+
+def test_baseline_config_stores_a_list_of_widths_as_a_tuple():
+    config = BaselineConfig([4, 3], seed=2)
+    assert config.hidden_widths == (4, 3)
+    assert config == BaselineConfig((4, 3), seed=2)
+    assert hash(config) == hash(BaselineConfig((4, 3), seed=2))
 
 
 @pytest.mark.parametrize("changes", [
@@ -341,8 +355,7 @@ def test_baseline_learns_conjunction_data():
     ds = and_dataset(rows=400, seed=10)
     test = and_dataset(rows=400, seed=110)
     net = build_baseline(3, 2, BaselineConfig.mirroring(3, hidden_width=4))
-    result = train_baseline(net, ds,
-                            quick_config(max_epochs=80, learning_rate=0.05))
+    result = train(net, ds, quick_config(max_epochs=80, learning_rate=0.05))
     rate = evaluate(result.network, test).misclassification_rate
     assert rate <= 0.08
 
@@ -389,6 +402,12 @@ def test_fuzzy_and_baseline_see_identical_validation_split():
         def bump_version(self):
             pass
 
+        def penalty(self):
+            return 0.0
+
+        def step(self, grads, learning_rate, regularization):
+            pass
+
         def copy_parameters(self):
             return ()
 
@@ -408,12 +427,21 @@ def test_fuzzy_and_baseline_see_identical_validation_split():
             seen.append(rows.shape[0])
             raise TrainingDivergedError("stop")
 
-    from softlogic.training import _fit
     for _ in range(2):
         with pytest.raises(TrainingDivergedError):
-            _fit(Probe(), ds, quick_config(batch_size=1000),
-                 lambda m: 0.0, lambda m, g, c: None)
+            train(Probe(), ds, quick_config(batch_size=1000))
     assert seen[0] == seen[1]
+
+
+def test_train_and_cross_validate_fit_the_dense_baseline():
+    ds = and_dataset(rows=90, seed=16)
+    build = lambda: build_baseline(3, 2, BaselineConfig((4,), seed=16))
+    result = train(build(), ds, quick_config(max_epochs=5))
+    assert isinstance(result.network, DenseTanhNet) and result.epochs_run == 5
+    # The default train_fn fits whichever model build_model returns.
+    cv = cross_validate(ds, 3, build, quick_config(max_epochs=5))
+    assert isinstance(cv, CrossValResult) and len(cv.fold_metrics) == 3
+    assert sum(m.count for m in cv.fold_metrics) == ds.row_count
 
 
 # ---------------------------------------------- per-split part-0 input
@@ -464,6 +492,16 @@ def reference_logic_update(net, grads, config):
     net.bump_version()
 
 
+def reference_dense_update(net, grads, config):
+    grad_w, grad_b = grads
+    lr = config.learning_rate
+    for layer in range(len(net.weights)):
+        w = net.weights[layer]
+        w -= lr * (grad_w[layer] + 2.0 * config.l1_regularization * w)
+        net.biases[layer] -= lr * grad_b[layer]
+    net.bump_version()
+
+
 DATA_LEVELS = {"dense": None, "signed": (-1.0, 1.0), "three": (-1.0, 0.0, 1.0)}
 
 
@@ -494,18 +532,16 @@ def test_training_matches_the_per_batch_reference_bit_for_bit(family, data, clas
         def build():
             return build_network(features, classes, NetworkConfig(
                 hidden_width=4, logic_parts=parts, seed=seed))
-        fit = train
         penalty = lambda net: float(sum(np.sum(np.abs(w)) for w in net.selectors))
         update = reference_logic_update
     else:
         def build():
             return build_baseline(features, classes, BaselineConfig.mirroring(features, 4))
-        fit = train_baseline
         penalty = lambda net: float(sum(np.sum(w ** 2) for w in net.weights))
-        update = _apply_dense_updates
+        update = reference_dense_update
     expected, model = build(), build()
     expected_log = reference_fit(expected, ds, config, penalty, update)
-    result = fit(model, ds, config)
+    result = train(model, ds, config)
     assert result.log == expected_log
     for got, want in zip(sum(model.copy_parameters(), []),
                          sum(expected.copy_parameters(), [])):
