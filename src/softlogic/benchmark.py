@@ -206,6 +206,12 @@ def run_benchmark(data_dir: str | Path | None = None, seeds: int = 5,
                   keys: list[str] | None = None) -> list[BenchmarkRow]:
     """Run every benchmark found in the data directory; missing ones are
     marked SKIPPED rather than raising."""
+    if type(seeds) is not int or seeds < 1:     # a bool is not a count
+        raise ValueError(f"seeds must be an integer of at least 1, got {seeds!r}")
+    unknown = sorted(set(keys or ()) - {spec.key for spec in BENCHMARKS})
+    if unknown:
+        raise ValueError(f"unknown benchmark key(s) {', '.join(map(repr, unknown))};"
+                         f" known: {', '.join(spec.key for spec in BENCHMARKS)}")
     directory = resolve_data_dir(str(data_dir) if data_dir else None)
     rows = []
     for spec in BENCHMARKS:

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from . import benchmark as bench
-from .data import load_csv, load_schema, relabel
+from .data import _read_json, load_csv, load_schema, relabel
 from .expressions import gate_depth, leaf_count, render, to_dict as expr_to_dict
 from .extraction import (
     ExtractionConfig,
@@ -71,7 +71,7 @@ class _Options:
     def __init__(self, args: argparse.Namespace):
         self.args = args
         path = getattr(args, "config", None)
-        self.config = json.loads(Path(path).read_text()) if path else {}
+        self.config = _read_json(path) if path else {}
         if not isinstance(self.config, dict):
             raise ValueError(f"{path!r}: config file must hold a JSON object")
         self.unread = set(self.config)

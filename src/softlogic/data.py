@@ -10,6 +10,7 @@ categories one-hot into ±1 columns, missing values sit at the neutral 0
 from __future__ import annotations
 
 import csv
+import io
 import json
 import warnings
 from dataclasses import dataclass, field, replace
@@ -90,13 +91,19 @@ class Dataset:
         return replace(self, features=self.features[idx], labels=self.labels[idx])
 
 
+def _read_json(path: str | Path):
+    """The JSON value in the file at ``path``; a file that is not JSON, or
+    not UTF-8 text, is a :class:`DataError` naming the path."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise DataError(f"{str(path)!r}: invalid JSON ({exc})") from exc
+
+
 def load_schema(path: str | Path) -> list[ColumnSchema]:
     """Read a dataset schema: ``{"missing_token": "?", "columns":
     [{"name": ..., "kind": ...}, ...]}`` with exactly one label column."""
-    try:
-        raw = json.loads(Path(path).read_text())
-    except ValueError as exc:       # not JSON, or not UTF-8 text
-        raise DataError(f"{str(path)!r}: invalid JSON ({exc})") from exc
+    raw = _read_json(path)
     if not isinstance(raw, dict):
         raise DataError(f"{str(path)!r}: schema must be a JSON object")
     default_missing = raw.get("missing_token", "?")
@@ -128,9 +135,16 @@ def load_schema(path: str | Path) -> list[ColumnSchema]:
 
 
 def _read_rows(path: Path, width: int) -> list[list[str]]:
-    rows = []
     with open(path, newline="") as handle:
-        for lineno, row in enumerate(csv.reader(handle), start=1):
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:   # one decode call, so start is a file offset
+            lineno = exc.object[:exc.start].count(b"\n") + 1
+            raise DataError(f"{str(path)!r} line {lineno}: {exc}") from exc
+    rows = []
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        for lineno, row in enumerate(reader, start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue  # skip blank lines
             if len(row) != width:
@@ -139,71 +153,49 @@ def _read_rows(path: Path, width: int) -> list[list[str]]:
                     f" got {len(row)}"
                 )
             rows.append([field.strip() for field in row])
+    except csv.Error as exc:                # such as a field over csv's size limit
+        raise DataError(f"{str(path)!r} line {reader.line_num}: {exc}") from exc
     return rows
 
 
-def _encode_numeric(values: list[str], col: ColumnSchema) -> tuple[np.ndarray, list[str]]:
-    out = np.zeros(len(values))
-    for r, v in enumerate(values):
-        if v == col.missing_token:
-            continue
-        try:
-            out[r] = float(v)
-        except ValueError as exc:
-            raise DataError(
-                f"column {col.name!r}: cannot parse {v!r} as a number"
-            ) from exc
-    return out[:, None], [col.name]
-
-
-def _encode_binary(values: list[str], col: ColumnSchema) -> tuple[np.ndarray, list[str]]:
+def _encode(values: list[str], col: ColumnSchema) -> tuple[np.ndarray, list[str]]:
+    """One feature column as a block of encoded columns and their names."""
+    if col.kind == "numeric":
+        out = np.zeros(len(values))
+        for r, v in enumerate(values):
+            if v == col.missing_token:
+                continue
+            try:
+                out[r] = float(v)
+            except ValueError as exc:
+                raise DataError(
+                    f"column {col.name!r}: cannot parse {v!r} as a number"
+                ) from exc
+        return out[:, None], [col.name]
     present = [v for v in values if v != col.missing_token]
     categories = sorted(set(present))
+    if col.kind == "multi_categorical" or (col.kind == "categorical" and len(categories) > 2):
+        if not categories:
+            raise DataError(f"column {col.name!r}: no categories present")
+        # Keyed by the strings themselves: numpy's str dtype drops trailing NULs.
+        index = {c: k for k, c in enumerate(categories)}
+        out = -np.ones((len(values), len(categories)))
+        for r, v in enumerate(values):
+            if v in index:
+                out[r, index[v]] = 1.0
+        return out, [f"{col.name}={c}" for c in categories]
     if len(categories) > 2:
         # Keep the two most frequent categories; anything else is treated
         # as unknown and mapped to the neutral 0.
         counts = {c: present.count(c) for c in categories}
-        keep = sorted(sorted(categories), key=lambda c: -counts[c])[:2]
-        extra = set(categories) - set(keep)
-        categories = sorted(keep)
+        keep = sorted(categories, key=lambda c: -counts[c])[:2]
         warnings.warn(
-            f"column {col.name!r}: values {sorted(extra)} not in the binary"
-            " pair, mapped to 0"
+            f"column {col.name!r}: values {sorted(set(categories) - set(keep))} not in"
+            " the binary pair, mapped to 0"
         )
-    mapping = {}
-    if len(categories) == 2:
-        mapping = {categories[0]: -1.0, categories[1]: 1.0}
-    elif len(categories) == 1:
-        mapping = {categories[0]: 1.0}
-    out = np.zeros(len(values))
-    for r, v in enumerate(values):
-        out[r] = mapping.get(v, 0.0)
-    return out[:, None], [col.name]
-
-
-def _encode_multi(values: list[str], col: ColumnSchema) -> tuple[np.ndarray, list[str]]:
-    categories = sorted(set(v for v in values if v != col.missing_token))
-    if not categories:
-        raise DataError(f"column {col.name!r}: no categories present")
-    index = {c: k for k, c in enumerate(categories)}
-    out = -np.ones((len(values), len(categories)))
-    for r, v in enumerate(values):
-        if v in index:
-            out[r, index[v]] = 1.0
-    return out, [f"{col.name}={c}" for c in categories]
-
-
-def _encode_label(values: list[str], col: ColumnSchema) -> tuple[np.ndarray, list[str]]:
-    order: list[str] = []
-    seen = {}
-    for v in values:
-        if v == col.missing_token:
-            raise DataError(f"column {col.name!r}: missing label value")
-        if v not in seen:
-            seen[v] = len(order)
-            order.append(v)
-    labels = np.array([seen[v] for v in values], dtype=np.intp)
-    return labels, order
+        categories = sorted(keep)
+    mapping = dict(zip(categories, (-1.0, 1.0) if len(categories) == 2 else (1.0,)))
+    return np.array([mapping.get(v, 0.0) for v in values])[:, None], [col.name]
 
 
 def load_csv(path: str | Path, schema: list[ColumnSchema]) -> Dataset:
@@ -211,7 +203,8 @@ def load_csv(path: str | Path, schema: list[ColumnSchema]) -> Dataset:
 
     Encoding is stable: the same file and schema always produce identical
     matrices.  The ``categorical`` kind resolves to binary or one-hot from
-    the observed number of categories.
+    the observed number of categories.  Classes are numbered by first
+    occurrence.
     """
     path = Path(path)
     rows = _read_rows(path, len(schema))
@@ -220,26 +213,16 @@ def load_csv(path: str | Path, schema: list[ColumnSchema]) -> Dataset:
     blocks: list[np.ndarray] = []
     names: list[str] = []
     labels = None
-    label_names: list[str] = []
-    for c, col in enumerate(schema):
-        values = [row[c] for row in rows]
-        if col.kind == "ignore":
-            continue
+    for col, values in zip(schema, zip(*rows)):
         if col.kind == "label":
-            labels, label_names = _encode_label(values, col)
-            continue
-        kind = col.kind
-        if kind == "categorical":
-            distinct = len(set(v for v in values if v != col.missing_token))
-            kind = "binary_categorical" if distinct <= 2 else "multi_categorical"
-        if kind == "numeric":
-            block, cols = _encode_numeric(values, col)
-        elif kind == "binary_categorical":
-            block, cols = _encode_binary(values, col)
-        else:
-            block, cols = _encode_multi(values, col)
-        blocks.append(block)
-        names.extend(cols)
+            if col.missing_token in values:
+                raise DataError(f"column {col.name!r}: missing label value")
+            order = {v: k for k, v in enumerate(dict.fromkeys(values))}
+            labels, label_names = [order[v] for v in values], list(order)
+        elif col.kind != "ignore":
+            block, cols = _encode(values, col)
+            blocks.append(block)
+            names.extend(cols)
     if labels is None:
         raise DataError(f"{str(path)!r}: schema has no label column")
     features = np.hstack(blocks) if blocks else np.zeros((len(rows), 0))

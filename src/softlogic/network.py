@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import _read_json
 from .operators import SquashParams, _check_types, squash, squash_grad
 
 __all__ = [
@@ -541,7 +542,7 @@ class LogicNetwork:
 
     @classmethod
     def load(cls, path: str | Path) -> "LogicNetwork":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(_read_json(path))
 
 
 def _check_counts(feature_count, class_count) -> None:

@@ -90,6 +90,23 @@ def test_keys_filter_restricts_rows(tmp_path):
     assert [r.key for r in rows] == ["diabetes"]
 
 
+def _no_file_is_read(spec, directory):
+    raise AssertionError(f"{spec.key} was loaded before the arguments were checked")
+
+
+@pytest.mark.parametrize("seeds", [0, -1, True, 2.0, None])
+def test_run_benchmark_rejects_a_seed_count_below_one(tmp_path, monkeypatch, seeds):
+    monkeypatch.setattr("softlogic.benchmark._load_benchmark", _no_file_is_read)
+    with pytest.raises(ValueError, match="seeds must be an integer of at least 1"):
+        run_benchmark(data_dir=tmp_path, seeds=seeds)
+
+
+def test_run_benchmark_rejects_an_unknown_key(tmp_path, monkeypatch):
+    monkeypatch.setattr("softlogic.benchmark._load_benchmark", _no_file_is_read)
+    with pytest.raises(ValueError, match="unknown benchmark key.* 'nosuch'; known: breast-cancer"):
+        run_benchmark(data_dir=tmp_path, keys=["vote", "nosuch"])
+
+
 # ------------------------------------------------------------- ok path
 
 

@@ -115,6 +115,23 @@ def test_config_file_of_a_json_list_exits_2(tmp_path, corpus, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train --config", "extract --config", "eval --model",
+                                     "extract --model"])
+def test_a_file_that_is_not_json_is_named_in_the_error(tmp_path, corpus, capsys, command):
+    data, schema = corpus
+    _, model = run_train(tmp_path, data, schema)
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json")
+    argv = {"train --config": ["train", "--data", data, "--schema", schema,
+                               "--out", tmp_path / "m.json", "--config", bad],
+            "extract --config": ["extract", "--model", model, "--config", bad],
+            "eval --model": ["eval", "--model", bad, "--data", data, "--schema", schema],
+            "extract --model": ["extract", "--model", bad]}[command]
+    assert main([str(arg) for arg in argv]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"bad input: {str(bad)!r}: invalid JSON (Expecting value")
+
+
 def test_train_missing_data_exits_2(tmp_path, corpus, capsys):
     _, schema = corpus
     code = main(["train", "--data", str(tmp_path / "nope.csv"),
@@ -260,6 +277,18 @@ def test_data_warnings_print_one_line_each_on_stderr(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 2 and all(line.startswith("warning: ") for line in lines)
     assert "'bin'" in lines[0] and "single instance" in lines[1]
+
+
+@pytest.mark.parametrize("content", [b"1,2,3,0\n4," + b"5" * 200_000 + b",6,1\n",
+                                     b"1,2,3,0\n4,5,6,\xff\n"], ids=["huge-field", "not-utf8"])
+def test_an_unreadable_csv_prints_one_bad_input_line(tmp_path, corpus, capsys, content):
+    _, schema = corpus
+    data = tmp_path / "odd.csv"
+    data.write_bytes(content)
+    assert main(["train", "--data", str(data), "--schema", str(schema),
+                 "--out", str(tmp_path / "m.json")]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"bad input: {str(data)!r} line 2: ")
 
 
 # ----------------------------------------------------------------- eval
@@ -480,6 +509,16 @@ def test_benchmark_only_filter(tmp_path, capsys):
     rows = out.read_text().splitlines()
     assert len(rows) == 2
     assert rows[1].startswith("vote,SKIPPED")
+
+
+@pytest.mark.parametrize("flags", [["--seeds", "0"], ["--seeds", "-1"], ["--only", "nosuch"]],
+                         ids=["seeds-0", "seeds-minus-1", "only-nosuch"])
+def test_benchmark_degenerate_flags_exit_2(tmp_path, capsys, flags):
+    out = tmp_path / "bench.csv"
+    assert main(["benchmark", "--data-dir", str(tmp_path), "--out", str(out), *flags]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("bad input: ")
+    assert not out.exists()
 
 
 def test_benchmark_config_value_of_the_wrong_type_exits_2(tmp_path, capsys):

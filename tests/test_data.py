@@ -1,11 +1,17 @@
 """Schema-driven CSV loading, signed encodings, splits, synthetic data."""
 
+import csv
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from softlogic.data import (
+    COLUMN_KINDS,
     ColumnSchema,
     DataError,
     Dataset,
@@ -194,6 +200,21 @@ def test_empty_file_rejected(tmp_path):
         load_csv(path, schema)
 
 
+def test_a_field_over_the_csv_size_limit_names_the_file_and_line(tmp_path):
+    path = write(tmp_path, "huge.csv", "1,a\n2,b\n3," + "x" * 200_000 + "\n")
+    schema = [ColumnSchema("v", "numeric"), ColumnSchema("y", "label")]
+    with pytest.raises(DataError, match=r"huge.csv' line 3: field larger than field limit"):
+        load_csv(path, schema)
+
+
+def test_a_file_that_is_not_utf8_names_the_file_and_line(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"1,a\n" * 3000 + b"2,caf\xe9\n")
+    schema = [ColumnSchema("v", "numeric"), ColumnSchema("y", "label")]
+    with pytest.raises(DataError, match=r"latin1.csv' line 3001: 'utf-8' codec can't decode"):
+        load_csv(path, schema)
+
+
 def test_loading_is_deterministic(tmp_path):
     path = write(tmp_path, "d.csv", "y,1.25,a\nn,-0.5,b\n?,0.125,a\n")
     schema = [ColumnSchema("vote", "binary_categorical"),
@@ -202,6 +223,214 @@ def test_loading_is_deterministic(tmp_path):
     b = load_csv(path, schema)
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.labels, b.labels)
+
+
+# ---------------------------------------------- the per-kind reference
+#
+# The loader as it was with one encoder per column kind, kept verbatim so
+# that load_csv's single encoder can be checked against it bit for bit.
+
+
+def reference_read_rows(path, width):
+    rows = []
+    with open(path, newline="") as handle:
+        for lineno, row in enumerate(csv.reader(handle), start=1):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue  # skip blank lines
+            if len(row) != width:
+                raise DataError(
+                    f"{str(path)!r} line {lineno}: expected {width} columns,"
+                    f" got {len(row)}"
+                )
+            rows.append([field.strip() for field in row])
+    return rows
+
+
+def reference_encode_numeric(values, col):
+    out = np.zeros(len(values))
+    for r, v in enumerate(values):
+        if v == col.missing_token:
+            continue
+        try:
+            out[r] = float(v)
+        except ValueError as exc:
+            raise DataError(
+                f"column {col.name!r}: cannot parse {v!r} as a number"
+            ) from exc
+    return out[:, None], [col.name]
+
+
+def reference_encode_binary(values, col):
+    present = [v for v in values if v != col.missing_token]
+    categories = sorted(set(present))
+    if len(categories) > 2:
+        counts = {c: present.count(c) for c in categories}
+        keep = sorted(sorted(categories), key=lambda c: -counts[c])[:2]
+        extra = set(categories) - set(keep)
+        categories = sorted(keep)
+        warnings.warn(
+            f"column {col.name!r}: values {sorted(extra)} not in the binary"
+            " pair, mapped to 0"
+        )
+    mapping = {}
+    if len(categories) == 2:
+        mapping = {categories[0]: -1.0, categories[1]: 1.0}
+    elif len(categories) == 1:
+        mapping = {categories[0]: 1.0}
+    out = np.zeros(len(values))
+    for r, v in enumerate(values):
+        out[r] = mapping.get(v, 0.0)
+    return out[:, None], [col.name]
+
+
+def reference_encode_multi(values, col):
+    categories = sorted(set(v for v in values if v != col.missing_token))
+    if not categories:
+        raise DataError(f"column {col.name!r}: no categories present")
+    index = {c: k for k, c in enumerate(categories)}
+    out = -np.ones((len(values), len(categories)))
+    for r, v in enumerate(values):
+        if v in index:
+            out[r, index[v]] = 1.0
+    return out, [f"{col.name}={c}" for c in categories]
+
+
+def reference_encode_label(values, col):
+    order = []
+    seen = {}
+    for v in values:
+        if v == col.missing_token:
+            raise DataError(f"column {col.name!r}: missing label value")
+        if v not in seen:
+            seen[v] = len(order)
+            order.append(v)
+    labels = np.array([seen[v] for v in values], dtype=np.intp)
+    return labels, order
+
+
+def reference_load_csv(path, schema):
+    path = Path(path)
+    rows = reference_read_rows(path, len(schema))
+    if not rows:
+        raise DataError(f"{str(path)!r}: no data rows")
+    blocks = []
+    names = []
+    labels = None
+    label_names = []
+    for c, col in enumerate(schema):
+        values = [row[c] for row in rows]
+        if col.kind == "ignore":
+            continue
+        if col.kind == "label":
+            labels, label_names = reference_encode_label(values, col)
+            continue
+        kind = col.kind
+        if kind == "categorical":
+            distinct = len(set(v for v in values if v != col.missing_token))
+            kind = "binary_categorical" if distinct <= 2 else "multi_categorical"
+        if kind == "numeric":
+            block, cols = reference_encode_numeric(values, col)
+        elif kind == "binary_categorical":
+            block, cols = reference_encode_binary(values, col)
+        else:
+            block, cols = reference_encode_multi(values, col)
+        blocks.append(block)
+        names.extend(cols)
+    if labels is None:
+        raise DataError(f"{str(path)!r}: schema has no label column")
+    features = np.hstack(blocks) if blocks else np.zeros((len(rows), 0))
+    return Dataset(features=features, labels=labels, feature_names=names,
+                   class_count=len(label_names), label_names=label_names)
+
+
+def load_outcome(load, path, schema):
+    """Everything ``load`` observably does: the encoded arrays and names,
+    or the error's type and text, plus every warning's text."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            ds = load(path, schema)
+            result = (ds.features.tobytes(), ds.features.shape, ds.feature_names,
+                      ds.labels.tobytes(), ds.label_names, ds.class_count)
+        except Exception as exc:    # compared, not swallowed
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def assert_loads_like_the_reference(path, schema):
+    assert load_outcome(load_csv, path, schema) == load_outcome(reference_load_csv, path, schema)
+
+
+def write_cells(path, rows, terminator="\r\n"):
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle, lineterminator=terminator).writerows(rows)
+
+
+@pytest.mark.parametrize("kinds, rows, file_token", [
+    # NUL characters: "a" and "a\0" are different categories.
+    (["binary_categorical", "label"], [["a", "p"], ["a\x00", "q"], ["a", "p"]], "?"),
+    (["multi_categorical", "label"], [["a", "p"], ["a\x00", "q"], ["b", "p"]], "?"),
+    (["categorical", "label"], [["\x00", "p"], ["a\x00\x00", "q"], ["?", "p\x00"]], "?"),
+    # An all-missing one-hot column, and an all-missing binary one.
+    (["multi_categorical", "label"], [["?", "p"], ["?", "q"]], "?"),
+    (["categorical", "binary_categorical", "label"], [["NA", "NA", "p"], ["NA", "NA", "q"]],
+     "NA"),
+    # More than two categories in a binary column, tied at the cut.
+    (["binary_categorical", "label"],
+     [["c", "p"], ["b", "q"], ["a", "p"], ["a", "p"], ["d", "q"], ["?", "p"]], "?"),
+    # An empty missing token; the file's token applies to the label too.
+    (["numeric", "categorical", "label"], [["", "x", "p"], ["2", "", "?"], ["3", "y", "q"]], ""),
+    (["numeric", "label"], [["1", "p"], ["2", ""]], ""),
+    # No label column, every column ignored, a number that does not parse.
+    (["numeric", "ignore"], [["1", "z"], ["2", "z"]], "?"),
+    (["ignore", "label", "ignore"], [["u", "p", "v"], ["w", "q", "x"]], "?"),
+    (["numeric", "label"], [["1", "p"], ["1,5", "q"]], "?"),
+])
+def test_load_csv_matches_the_per_kind_reference_on_edge_cases(tmp_path, kinds, rows,
+                                                                file_token):
+    path = tmp_path / "edge.csv"
+    write_cells(path, rows)
+    schema = [ColumnSchema(f"c{i}", kind, file_token) for i, kind in enumerate(kinds)]
+    assert_loads_like_the_reference(path, schema)
+
+
+_TOKENS = ["?", "NA", ""]
+_CELLS = {
+    "numeric": ["0", "1", "-2.5", "1e3", " 7 ", "nan", "inf", "?", "NA", "", "x", "1,5"],
+    "categorical": ["a", "b", "c", "d", "a\x00", "\x00", " b ", "?", "NA", "", "x,y", 'q"t',
+                    "two\nlines"],
+    "label": ["p", "q", "r", "p\x00", "?", "NA", ""],
+}
+
+
+@st.composite
+def csv_files(draw):
+    """A schema file's columns (a label among up to five feature or ignored
+    columns, each maybe with its own missing token) and rows of cells."""
+    file_token = draw(st.sampled_from(_TOKENS))
+    kinds = draw(st.lists(st.sampled_from(COLUMN_KINDS[:4] + ("ignore",)), max_size=5))
+    kinds.insert(draw(st.integers(0, len(kinds))), "label")
+    columns = []
+    for i, kind in enumerate(kinds):
+        column = {"name": f"c{i}", "kind": kind}
+        if draw(st.booleans()):
+            column["missing_token"] = draw(st.sampled_from(_TOKENS))
+        columns.append(column)
+    pools = [_CELLS.get(kind, _CELLS["categorical"]) for kind in kinds]
+    rows = draw(st.lists(st.tuples(*[st.sampled_from(pool) for pool in pools]),
+                         min_size=1, max_size=8))
+    return {"missing_token": file_token, "columns": columns}, rows
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(csv_files(), st.sampled_from(["\r\n", "\n"]))
+def test_load_csv_matches_the_per_kind_reference(tmp_path, payload, terminator):
+    schema_json, rows = payload
+    path = tmp_path / "random.csv"
+    write_cells(path, rows, terminator)
+    schema = load_schema(write(tmp_path, "random.schema.json", json.dumps(schema_json)))
+    assert_loads_like_the_reference(path, schema)
 
 
 # ------------------------------------------------------ dataset object

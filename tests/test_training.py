@@ -2,6 +2,7 @@
 
 import csv
 import math
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -630,6 +631,69 @@ def test_cross_validate_deterministic():
     run = lambda: cross_validate(ds, 3, lambda: small_net(seed=15),
                                  quick_config(max_epochs=5))
     assert run().mean_rate == run().mean_rate
+
+
+# ------------------------------------------------- degenerate library calls
+
+
+@st.composite
+def degenerate_calls(draw):
+    """A tiny dataset (maybe one class, maybe constant columns), a model
+    builder with widths or part counts up to 10^9, a short training config
+    with an extreme validation fraction, and a fold count."""
+    rows, width, classes = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(2, 3))
+    cells = st.sampled_from([-1.0, 0.0, 0.5, 1.0])
+    if draw(st.booleans()):     # every column constant
+        features = np.tile(draw(st.lists(cells, min_size=width, max_size=width)), (rows, 1))
+    else:
+        features = np.array(draw(st.lists(st.lists(cells, min_size=width, max_size=width),
+                                          min_size=rows, max_size=rows)))
+    labels = draw(st.lists(st.integers(0, classes - 1) if draw(st.booleans()) else st.just(0),
+                           min_size=rows, max_size=rows))
+    dataset = Dataset(features, labels, [f"x{i}" for i in range(width)], classes)
+    sizes = st.sampled_from([1, 2, 3, 10, 10**9])
+    if draw(st.booleans()):
+        config = NetworkConfig(hidden_width=max(2, draw(sizes)), logic_parts=draw(sizes))
+        build = lambda: build_network(width, classes, config)
+    else:
+        config = BaselineConfig(tuple(draw(st.lists(sizes, max_size=3))))
+        build = lambda: build_baseline(width, classes, config)
+    train_config = TrainConfig(
+        learning_rate=draw(st.sampled_from([0.01, 1.0, 1e6])),
+        max_epochs=draw(st.integers(1, 3)),
+        patience=draw(st.integers(1, 3)),
+        batch_size=draw(st.sampled_from([1, 4, 16])),
+        validation_fraction=draw(st.sampled_from([1e-9, 0.01, 0.5, 0.99, 1 - 1e-9])),
+    )
+    return dataset, build, train_config, draw(st.integers(2, 3))
+
+
+def documented(call):
+    """``call()``'s result, or None after a documented error: a
+    ``ValueError`` (subclasses included) or a divergence.  Any other
+    exception fails the test, and so does any warning but the one for a
+    class with a single instance; RuntimeWarnings are errors, as in tier-1."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            return call()
+        except (ValueError, TrainingDivergedError):
+            return None
+        finally:
+            assert all(w.category is UserWarning and "single instance" in str(w.message)
+                       for w in caught), [str(w.message) for w in caught]
+
+
+@settings(max_examples=150, deadline=None)
+@given(degenerate_calls())
+def test_library_entry_points_end_in_a_result_or_a_documented_error(case):
+    dataset, build, config, folds = case
+    model = documented(build)
+    if model is not None:
+        result = documented(lambda: train(model, dataset, config))
+        documented(lambda: evaluate(result.network if result else model, dataset))
+    documented(lambda: cross_validate(dataset, folds, build, config))
 
 
 # ---------------------------------------------------------------- logs
