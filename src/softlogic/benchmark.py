@@ -208,6 +208,9 @@ def run_benchmark(data_dir: str | Path | None = None, seeds: int = 5,
     marked SKIPPED rather than raising."""
     if type(seeds) is not int or seeds < 1:     # a bool is not a count
         raise ValueError(f"seeds must be an integer of at least 1, got {seeds!r}")
+    if not (isinstance(test_fraction, float) and 0.0 < test_fraction < 1.0):
+        raise ValueError(f"test_fraction must lie strictly between 0 and 1, got {test_fraction!r}")
+    NetworkConfig(hidden_width=hidden_width)    # checks hidden_width
     unknown = sorted(set(keys or ()) - {spec.key for spec in BENCHMARKS})
     if unknown:
         raise ValueError(f"unknown benchmark key(s) {', '.join(map(repr, unknown))};"

@@ -40,6 +40,7 @@ from .extraction import (
     trace_expression,
 )
 from .network import (
+    _ALPHA_INIT,
     ConfigurationError,
     LogicNetwork,
     NetworkConfig,
@@ -85,10 +86,10 @@ class _Options:
         return default if explicit is None else explicit
 
     def build(self, cls):
-        """``cls`` with every field that has a flag of the same name
-        resolved; the rest keep their defaults."""
-        return cls(**{f.name: self.get(f.name, f.default)
-                      for f in fields(cls) if hasattr(self.args, f.name)})
+        """``cls`` with every field resolved by :meth:`get`; a field with no
+        flag of its name, such as ``max_rendered_length``, is set from the
+        config file only."""
+        return cls(**{f.name: self.get(f.name, f.default) for f in fields(cls)})
 
     def check_all_read(self) -> None:
         """Reject config-file keys the subcommand never read."""
@@ -128,7 +129,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     result.network.save(out_path)
     write_training_log(result.log, log_path)
-    network = asdict(net_config)
     manifest_path.write_text(json.dumps({
         "command": "train",
         "version": __version__,
@@ -143,8 +143,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             "path": str(args.schema),
             "sha256": hashlib.sha256(Path(args.schema).read_bytes()).hexdigest(),
         },
-        "network": {key: network[key] for key in
-                    ("hidden_width", "logic_parts", "alpha_init", "seed")},
+        "network": {**asdict(net_config), "alpha_init": _ALPHA_INIT},
         "training": asdict(train_config),
     }, indent=2, sort_keys=True) + "\n")
     print(f"model written to {out_path}")
@@ -176,15 +175,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_extract(args: argparse.Namespace) -> int:
     opt = _Options(args)
-    default = ExtractionConfig()
-    config = ExtractionConfig(
-        alpha_tolerance=opt.get("alpha_tolerance", default.alpha_tolerance),
-        weight_keep_ratio=opt.get("keep_ratio", default.weight_keep_ratio),
-        max_rendered_length=opt.get("max_rendered_length", default.max_rendered_length),
-        max_terms_per_node=opt.get("max_terms", default.max_terms_per_node),
-    )
+    config = opt.build(ExtractionConfig)
     seed, samples = opt.get("seed", 0), opt.get("samples", 2000)
     opt.check_all_read()
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     net = LogicNetwork.load(args.model)
     if args.data:
         if not args.schema:
@@ -192,6 +187,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
         features = load_csv(args.data, load_schema(args.schema)).features
     else:
         # No data given: sample the raw feature box the model was fitted on.
+        if samples < 1:
+            raise ValueError(f"samples must ask for at least one row, got {samples}")
         rng = np.random.default_rng(seed)
         try:
             features = rng.uniform(net.norm_low, net.norm_high,
@@ -298,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_extract.add_argument("--samples", type=int, help="sample count when no data given")
     p_extract.add_argument("--seed", type=int)
     p_extract.add_argument("--alpha-tolerance", dest="alpha_tolerance", type=float)
-    p_extract.add_argument("--keep-ratio", dest="keep_ratio", type=float)
-    p_extract.add_argument("--max-terms", dest="max_terms", type=int)
+    p_extract.add_argument("--keep-ratio", dest="weight_keep_ratio", type=float)
+    p_extract.add_argument("--max-terms", dest="max_terms_per_node", type=int)
     p_extract.add_argument("--leaf-names", action="store_true",
                            help="print feature names instead of slot indices")
     p_extract.add_argument("--json", action="store_true")

@@ -144,12 +144,12 @@ def _read_rows(path: Path, width: int) -> list[list[str]]:
     rows = []
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        for lineno, row in enumerate(reader, start=1):
+        for row in reader:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue  # skip blank lines
             if len(row) != width:
                 raise DataError(
-                    f"{str(path)!r} line {lineno}: expected {width} columns,"
+                    f"{str(path)!r} line {reader.line_num}: expected {width} columns,"
                     f" got {len(row)}"
                 )
             rows.append([field.strip() for field in row])

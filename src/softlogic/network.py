@@ -46,6 +46,7 @@ FORMAT_VERSION = 4
 # 800 MB of float64 weights: a larger network is refused before allocation.
 _MAX_PARAMETERS = 10**8
 _MAX_PAIRING_SLOTS = 10_000         # per part; slots grow as its input width squared
+_ALPHA_INIT = (0.25, 0.75)          # the range initial compensation levels are drawn from
 _MODEL_KEYS = {"format", "format_version", "feature_count", "class_count", "squash",
                "pairings", "alphas", "selectors", "normalization", "feature_names",
                "label_names"}
@@ -173,12 +174,10 @@ class PreparedRows:
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Structural and initialization choices for :func:`build_network`."""
+    """Structural choices and the seed for :func:`build_network`."""
 
     hidden_width: int = 8
     logic_parts: int = 2
-    squash: SquashParams = field(default_factory=SquashParams)
-    alpha_init: tuple[float, float] = (0.25, 0.75)
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -188,11 +187,8 @@ class NetworkConfig:
             raise ConfigurationError("hidden_width must be at least 2")
         if self.logic_parts < 1:
             raise ConfigurationError("logic_parts must be at least 1")
-        # Model files carry the range as a JSON list.
-        object.__setattr__(self, "alpha_init", tuple(self.alpha_init))
-        lo, hi = self.alpha_init
-        if not (0.0 <= lo <= hi <= 1.0):
-            raise ConfigurationError("alpha_init must be an ordered range in [0, 1]")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be non-negative")
 
 
 @dataclass
@@ -611,7 +607,7 @@ def build_network(
 ) -> LogicNetwork:
     """Construct a fresh network with seeded parameter initialization.
 
-    Compensation levels start uniform inside ``config.alpha_init`` and
+    Compensation levels start uniform inside ``_ALPHA_INIT`` and
     selector weights uniform on [-1/2, 1/2] scaled by 1/sqrt(width_in).
     Normalization bounds start at (-1, 1), the identity map; training
     refits them from data.
@@ -640,8 +636,7 @@ def build_network(
     width = feature_count
     for p in range(config.logic_parts):
         table = PairingTable.standard(width)
-        lo, hi = config.alpha_init
-        alphas.append(rng.uniform(lo, hi, size=table.width_out))
+        alphas.append(rng.uniform(*_ALPHA_INIT, size=table.width_out))
         w_out = config.hidden_width if p + 1 < config.logic_parts else out_width
         scale = 1.0 / math.sqrt(table.width_out)
         selectors.append(rng.uniform(-0.5, 0.5, size=(w_out, table.width_out)) * scale)
@@ -650,7 +645,7 @@ def build_network(
     return LogicNetwork(
         feature_count=feature_count,
         class_count=class_count,
-        squash=config.squash,
+        squash=SquashParams(),
         pairing_tables=tables,
         alphas=alphas,
         selectors=selectors,

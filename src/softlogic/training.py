@@ -65,6 +65,8 @@ class TrainConfig:
             raise ValueError("batch_size must be at least 1")
         if not (0.0 < self.validation_fraction < 1.0):
             raise ValueError("validation_fraction must lie in (0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -224,6 +226,8 @@ class BaselineConfig:
             raise ValueError("hidden_widths and seed must be integers")
         if any(w < 1 for w in self.hidden_widths):
             raise ValueError("hidden_widths must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
     @staticmethod
     def mirroring(feature_count: int, hidden_width: int = 8) -> "BaselineConfig":

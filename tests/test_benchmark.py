@@ -101,6 +101,21 @@ def test_run_benchmark_rejects_a_seed_count_below_one(tmp_path, monkeypatch, see
         run_benchmark(data_dir=tmp_path, seeds=seeds)
 
 
+@pytest.mark.parametrize("settings, message", [
+    ({"test_fraction": 1.5}, "test_fraction must lie strictly between 0 and 1, got 1.5"),
+    ({"test_fraction": 0.0}, "test_fraction must lie strictly between 0 and 1"),
+    ({"test_fraction": None}, "test_fraction must lie strictly between 0 and 1"),
+    ({"hidden_width": 1}, "hidden_width must be at least 2"),
+    ({"hidden_width": 8.0}, "hidden_width must be an integer"),
+], ids=["test-fraction-1.5", "test-fraction-0", "test-fraction-none", "hidden-width-1",
+        "hidden-width-float"])
+def test_run_benchmark_checks_its_settings_before_reading_a_file(tmp_path, monkeypatch,
+                                                                  settings, message):
+    monkeypatch.setattr("softlogic.benchmark._load_benchmark", _no_file_is_read)
+    with pytest.raises(ValueError, match=message):
+        run_benchmark(data_dir=tmp_path, **settings)
+
+
 def test_run_benchmark_rejects_an_unknown_key(tmp_path, monkeypatch):
     monkeypatch.setattr("softlogic.benchmark._load_benchmark", _no_file_is_read)
     with pytest.raises(ValueError, match="unknown benchmark key.* 'nosuch'; known: breast-cancer"):

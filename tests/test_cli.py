@@ -1,9 +1,11 @@
 """Command line workflow: artifacts, exit codes, reproducibility."""
 
+import argparse
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,12 +14,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import softlogic
-from softlogic.cli import main
+from softlogic.cli import build_parser, main
 from softlogic.data import COLUMN_KINDS, generate_synthetic, numeric_schema, save_csv
 from softlogic.expressions import Gate, Leaf, from_dict, gate_depth, to_dict
-from softlogic.extraction import trace_expression
+from softlogic.extraction import ExtractionConfig, trace_expression
 from softlogic.network import LogicNetwork, NetworkConfig, build_network
 from softlogic.operators import OperatorKind
+from softlogic.training import TrainConfig
 
 
 @pytest.fixture()
@@ -511,14 +514,21 @@ def test_benchmark_only_filter(tmp_path, capsys):
     assert rows[1].startswith("vote,SKIPPED")
 
 
-@pytest.mark.parametrize("flags", [["--seeds", "0"], ["--seeds", "-1"], ["--only", "nosuch"]],
-                         ids=["seeds-0", "seeds-minus-1", "only-nosuch"])
-def test_benchmark_degenerate_flags_exit_2(tmp_path, capsys, flags):
+@pytest.mark.parametrize("flags, named", [
+    (["--seeds", "0"], "seeds"), (["--seeds", "-1"], "seeds"), (["--only", "nosuch"], "key"),
+    (["--test-fraction", "1.5"], "test_fraction"), (["--hidden-width", "1"], "hidden_width"),
+], ids=["seeds-0", "seeds-minus-1", "only-nosuch", "test-fraction-1.5", "hidden-width-1"])
+def test_benchmark_degenerate_flags_exit_2(tmp_path, capsys, monkeypatch, flags, named):
+    monkeypatch.setattr("softlogic.benchmark._load_benchmark", _no_file_is_read)
     out = tmp_path / "bench.csv"
     assert main(["benchmark", "--data-dir", str(tmp_path), "--out", str(out), *flags]) == 2
     [line] = capsys.readouterr().err.splitlines()
-    assert line.startswith("bad input: ")
+    assert line.startswith("bad input: ") and named in line
     assert not out.exists()
+
+
+def _no_file_is_read(spec, directory):
+    raise AssertionError(f"{spec.key} was loaded before the arguments were checked")
 
 
 def test_benchmark_config_value_of_the_wrong_type_exits_2(tmp_path, capsys):
@@ -746,6 +756,66 @@ def test_any_schema_file_ends_in_a_documented_exit_code(tmp_path, capsys, payloa
                              "--out", str(tmp_path / "fuzz.json"), "--max-epochs", "1"])
 
 
+# ------------------------------------------- settings from config files
+
+_CONFIGS = {"train": (NetworkConfig, TrainConfig), "extract": (ExtractionConfig,)}
+# A value other than the default for every field of those configs.
+_SETTINGS = {
+    "hidden_width": 3, "logic_parts": 1, "seed": 2, "learning_rate": 0.02,
+    "l1_regularization": 0.001, "max_epochs": 3, "patience": 1, "batch_size": 8,
+    "validation_fraction": 0.25, "alpha_tolerance": 0.3, "weight_keep_ratio": 0.9,
+    "max_rendered_length": 40, "max_terms_per_node": 2,
+}
+_CONFIG_FIELDS = list(dict.fromkeys(
+    (command, f.name) for command, classes in _CONFIGS.items()
+    for cls in classes for f in fields(cls)))
+
+
+def _flag_of(command, name):
+    """The option of ``command`` that sets ``name``, or None."""
+    [subcommands] = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    return next((action.option_strings[0] for action in subcommands.choices[command]._actions
+                 if action.dest == name), None)
+
+
+@pytest.mark.parametrize("cls", [cls for classes in _CONFIGS.values() for cls in classes])
+def test_every_config_the_cli_builds_defaults_to_numbers(cls):
+    # A config-file value is converted with the type of the field's default.
+    assert all(type(f.default) in (int, float) for f in fields(cls))
+
+
+@pytest.mark.parametrize("command, name", _CONFIG_FIELDS,
+                         ids=[f"{command}-{name}" for command, name in _CONFIG_FIELDS])
+def test_every_config_field_is_set_alike_by_config_file_and_flag(tmp_path, corpus, capsys,
+                                                                 command, name):
+    data, schema = corpus
+    model = saved_model(tmp_path)
+    value = _SETTINGS[name]
+    # Train briefly, unless the brevity is the setting under test.
+    base = {"max_epochs": 2, "patience": 2} if command == "train" else {}
+    base.pop(name, None)
+
+    def run(tag, settings, flags=()):
+        cfg = tmp_path / f"{tag}.cfg.json"
+        cfg.write_text(json.dumps(settings))
+        out = tmp_path / f"{tag}.json"
+        argv = {"train": ["--data", str(data), "--schema", str(schema), "--out", str(out)],
+                "extract": ["--model", str(model), "--samples", "40", "--json"]}[command]
+        assert main([command, *argv, "--config", str(cfg), *flags]) == 0
+        if command == "extract":
+            return capsys.readouterr().out
+        manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+        assert {**manifest["network"], **manifest["training"]}[name] == value
+        return [path.read_bytes() for path in
+                (out, out.with_suffix(".log.csv"), out.with_suffix(".manifest.json"))]
+
+    from_file = run("file", {**base, name: value})
+    flag = _flag_of(command, name)
+    if flag is not None:        # otherwise the config file is its only source
+        assert run("flag", base, [flag, str(value)]) == from_file
+
+
 # --------------------------------------------- malformed config files
 
 
@@ -770,6 +840,8 @@ def test_train_config_value_of_wrong_type_exits_2(tmp_path, corpus, capsys,
 @pytest.mark.parametrize("command, key", [
     ("train", "hidden_widht"),
     ("extract", "keep_ration"),
+    ("extract", "keep_ratio"),      # the keys of weight_keep_ratio and
+    ("extract", "max_terms"),       # max_terms_per_node before they took the field names
     ("benchmark", "seed"),
 ])
 def test_config_key_the_subcommand_never_reads_exits_2(tmp_path, corpus, capsys,
@@ -1029,12 +1101,20 @@ def test_a_feature_of_1e308_trains_evaluates_and_extracts(tmp_path, csv_fuzz_bas
     assert main(["extract", "--model", str(model), *given_data]) == 0
 
 
-@pytest.mark.parametrize("mode", [[], ["--json"]])
-def test_extract_with_zero_samples_exits_2(tmp_path, capsys, mode):
+@pytest.mark.parametrize("mode, flags, message", [
+    pytest.param([], ["--samples", "0"], "at least one row", id="mode0"),
+    pytest.param(["--json"], ["--samples", "0"], "at least one row", id="mode1"),
+    pytest.param([], ["--samples", "-5"], "samples must ask for at least one row, got -5",
+                 id="samples-minus-5"),
+    pytest.param(["--json"], ["--seed", "-3"], "seed must be non-negative, got -3",
+                 id="seed-minus-3"),
+])
+def test_extract_with_zero_samples_exits_2(tmp_path, capsys, mode, flags, message):
     model = saved_model(tmp_path)
-    assert main(["extract", "--model", str(model), "--samples", "0", *mode]) == 2
+    assert main(["extract", "--model", str(model), *flags, *mode]) == 2
     captured = capsys.readouterr()
-    assert "at least one row" in captured.err
+    [line] = captured.err.splitlines()
+    assert line.startswith("bad input: ") and message in line
     assert captured.out == ""
 
 

@@ -224,8 +224,8 @@ def test_network_config_validation():
         NetworkConfig(hidden_width=1)
     with pytest.raises(ConfigurationError):
         NetworkConfig(logic_parts=0)
-    with pytest.raises(ConfigurationError):
-        NetworkConfig(alpha_init=(0.8, 0.2))
+    with pytest.raises(ConfigurationError, match="seed must be non-negative"):
+        NetworkConfig(seed=-1)
 
 
 def test_build_network_seeded_determinism():
@@ -239,9 +239,10 @@ def test_build_network_seeded_determinism():
 
 
 def test_initial_alphas_inside_init_range():
-    net = build_network(5, 2, NetworkConfig(alpha_init=(0.4, 0.6), seed=1))
+    # The range is fixed; the manifest records it as alpha_init.
+    net = build_network(5, 2, NetworkConfig(seed=1))
     for part in net.alphas:
-        assert np.all(part >= 0.4) and np.all(part <= 0.6)
+        assert np.all(part >= 0.25) and np.all(part <= 0.75)
 
 
 # ------------------------------------------------------- normalization
@@ -712,8 +713,8 @@ def test_serialized_form_is_format_v4_json_of_the_model_keys(tmp_path):
 
 
 def test_squash_params_travel_with_the_model(tmp_path):
-    cfg = NetworkConfig(hidden_width=4, squash=SquashParams(smoothness=20.0))
-    net = build_network(2, 2, cfg)
+    net = replace(build_network(2, 2, NetworkConfig(hidden_width=4)),
+                  squash=SquashParams(smoothness=20.0))
     path = tmp_path / "m.json"
     net.save(path)
     assert LogicNetwork.load(path).squash.smoothness == 20.0
@@ -747,7 +748,7 @@ def oracle_cases(draw):
     net = toy_net(feature_count=features, class_count=draw(st.sampled_from([2, 3, 4])),
                   logic_parts=draw(st.integers(min_value=1, max_value=3)),
                   hidden_width=draw(st.integers(min_value=2, max_value=5)),
-                  seed=draw(st.integers(min_value=0, max_value=2**16)), squash=squash)
+                  seed=draw(st.integers(min_value=0, max_value=2**16)))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     rows = draw(st.integers(min_value=1, max_value=80))
     if draw(st.booleans()):
@@ -759,7 +760,7 @@ def oracle_cases(draw):
     for p, alphas in enumerate(net.alphas):
         alphas[:] = rng.uniform(0.0, 1.0, size=alphas.shape)
         net.selectors[p] *= draw(st.sampled_from([1.0, 4.0]))
-    return replace(net, norm_low=low, norm_high=high), x
+    return replace(net, squash=squash, norm_low=low, norm_high=high), x
 
 
 @given(oracle_cases())

@@ -72,6 +72,8 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(validation_fraction=1.0)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        TrainConfig(seed=-1)
 
 
 @pytest.mark.parametrize("name, value", [
@@ -287,6 +289,8 @@ def test_baseline_config_validation():
         BaselineConfig(hidden_widths=(0,))
     with pytest.raises(ValueError):
         BaselineConfig(hidden_widths=(5, -1))
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        BaselineConfig((3,), seed=-1)
 
 
 @pytest.mark.parametrize("hidden_widths", [5, None, "8", {4}, np.array([4])],
